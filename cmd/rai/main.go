@@ -17,7 +17,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -266,22 +265,10 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		Log:     logger,
 	}
 
-	// Step 3: move the project. Preferred path is the delta protocol
-	// (DESIGN.md §16): hash the tree into a chunk manifest, negotiate,
-	// send only chunks the server lacks. Any capability problem falls
-	// back to the classic full .tar.bz2 upload, so old servers keep
-	// working without a flag.
+	// Step 3: move the project over the delta protocol (DESIGN.md §16):
+	// hash the tree into a chunk manifest, negotiate, and send only the
+	// chunks the server lacks.
 	res, err := submitDelta(ctx, client, kind, spec, dir, stdout)
-	if errors.Is(err, core.ErrDeltaUnsupported) {
-		archive, size, perr := packToTemp(dir)
-		if perr != nil {
-			fmt.Fprintf(stderr, "rai: packing project: %v\n", perr)
-			return 1
-		}
-		defer archive.Close()
-		fmt.Fprintf(stdout, "uploading %d byte project archive\n", size)
-		res, err = client.SubmitReaderContext(ctx, kind, spec, archive, size)
-	}
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: %v\n", err)
 		return 1
@@ -301,14 +288,11 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 }
 
 // submitDelta hashes dir into a manifest and submits it over the delta
-// protocol, printing the one-line transfer summary. Errors that mean
-// "server can't do this" surface as core.ErrDeltaUnsupported.
+// protocol, printing the one-line transfer summary.
 func submitDelta(ctx context.Context, client *core.Client, kind string, spec *build.Spec, dir string, stdout io.Writer) (*core.JobResult, error) {
 	m, src, err := cas.BuildDir(dir)
 	if err != nil {
-		// An unhashable tree (permissions, exotic entries) is not fatal:
-		// the tar packer may still manage it.
-		return nil, fmt.Errorf("%w: hashing project tree: %w", core.ErrDeltaUnsupported, err)
+		return nil, fmt.Errorf("hashing project tree: %w", err)
 	}
 	res, err := client.SubmitManifestContext(ctx, kind, spec, m, src)
 	if res != nil && res.Transfer != nil {
@@ -340,31 +324,6 @@ func showRanking(creds auth.Credentials, dbURL string, stdout, stderr io.Writer)
 		fmt.Fprintf(stdout, "\nyour team is ranked %d of %d\n", rank, total)
 	}
 	return 0
-}
-
-// packToTemp streams a .tar.bz2 of dir into an unlinked temp file and
-// returns it positioned at the start, with its size. Being an
-// *os.File, it is seekable, so the upload client can rewind and retry.
-func packToTemp(dir string) (*os.File, int64, error) {
-	f, err := os.CreateTemp("", "rai-archive-*.tar.bz2")
-	if err != nil {
-		return nil, 0, err
-	}
-	_ = os.Remove(f.Name()) // unlink now; the fd keeps the bytes alive
-	if err := archivex.PackDirTo(f, dir); err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	return f, size, nil
 }
 
 // loadProfile reads credentials from path or $HOME/.rai.profile.

@@ -20,7 +20,7 @@
 //	raiadmin alerts  [-slo config.json] [-json] URL [URL...]
 //	raiadmin trace   [-db url] JOB_ID
 //	raiadmin trace   -exemplar slowest -metrics url [-metric prefix] [-db url]
-//	raiadmin logs    [-db url] [-follow] JOB_ID
+//	raiadmin logs    [-db url] [-follow] JOB_ID   (-follow tails the watch stream, exit 1 when it ends)
 //	raiadmin version
 package main
 

@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"rai/internal/clock"
 	"strings"
 	"syscall"
 	"time"
@@ -209,8 +208,7 @@ func logsCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin logs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
-	follow := fs.Bool("follow", false, "poll for new events until interrupted")
-	interval := fs.Duration("interval", 2*time.Second, "poll interval with -follow")
+	follow := fs.Bool("follow", false, "tail new events over the database's watch stream until interrupted")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -244,43 +242,33 @@ func logsCmd(args []string, stdout, stderr io.Writer) int {
 	if !*follow {
 		return 0
 	}
-	// Prefer the database's watch stream: each insert into the events
-	// collection wakes the cursor immediately instead of waiting out a
-	// poll interval. Any failure to negotiate or hold the stream (old
-	// server, restart mid-tail) degrades to interval polling.
-	if ch := openEventWatch(ctx, db); ch != nil {
-		for {
-			select {
-			case <-ctx.Done():
-				return 0
-			case _, ok := <-ch:
-				if !ok {
-					return followByPolling(ctx, stdout, stderr, print, *interval)
+	// Each insert into the events collection wakes the cursor through
+	// the database's watch stream. A stream that ends while the caller
+	// still wants it (server restart, network drop) is an error.
+	ch, err := db.WatchContext(ctx, core.CollEvents)
+	if err != nil {
+		fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
+		return 1
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return 0
+		case _, ok := <-ch:
+			if !ok {
+				if ctx.Err() != nil {
+					return 0
 				}
-				drainWatch(ch)
-				if err := print(); err != nil {
-					fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
-					return 1
-				}
+				fmt.Fprintln(stderr, "raiadmin logs: watch stream ended")
+				return 1
+			}
+			drainWatch(ch)
+			if err := print(); err != nil {
+				fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
+				return 1
 			}
 		}
 	}
-	return followByPolling(ctx, stdout, stderr, print, *interval)
-}
-
-// openEventWatch negotiates capabilities and subscribes to the events
-// collection; nil means the server cannot stream and the caller should
-// poll.
-func openEventWatch(ctx context.Context, db *docstore.Client) <-chan docstore.WatchEvent {
-	caps, err := db.CapsContext(ctx)
-	if err != nil || !caps.Watch {
-		return nil
-	}
-	ch, err := db.WatchContext(ctx, core.CollEvents)
-	if err != nil {
-		return nil
-	}
-	return ch
 }
 
 // drainWatch empties queued notifications so one print covers a burst.
@@ -293,21 +281,6 @@ func drainWatch(ch <-chan docstore.WatchEvent) {
 			}
 		default:
 			return
-		}
-	}
-}
-
-// followByPolling is the pre-watch behavior: reprint on a fixed cadence.
-func followByPolling(ctx context.Context, stdout, stderr io.Writer, print func() error, interval time.Duration) int {
-	for {
-		select {
-		case <-ctx.Done():
-			return 0
-		case <-clock.Real{}.After(interval):
-		}
-		if err := print(); err != nil {
-			fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
-			return 1
 		}
 	}
 }

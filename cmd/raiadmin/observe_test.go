@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -43,9 +44,9 @@ func TestLogsPrintsEvents(t *testing.T) {
 	}
 }
 
-// TestLogsWatchNegotiation exercises the -follow fast path: the watch
-// stream opens against a capable server and delivers a notification per
-// events-collection insert.
+// TestLogsWatchNegotiation exercises the stream -follow tails: the
+// watch opens on the events collection and delivers a notification per
+// insert, and a burst collapses into one reprint.
 func TestLogsWatchNegotiation(t *testing.T) {
 	srv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
 	defer srv.Close()
@@ -53,9 +54,9 @@ func TestLogsWatchNegotiation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch := openEventWatch(ctx, db)
-	if ch == nil {
-		t.Fatal("openEventWatch returned nil against a watch-capable server")
+	ch, err := db.WatchContext(ctx, core.CollEvents)
+	if err != nil {
+		t.Fatal(err)
 	}
 	insertEvent(t, db, "job-w", "woke the follower", 200)
 	select {
@@ -101,13 +102,29 @@ func TestLogsWatchNegotiation(t *testing.T) {
 	}
 }
 
-// TestLogsWatchFallback: a server without watch support (or without the
-// endpoints at all) yields a nil channel, sending -follow down the
-// polling path.
-func TestLogsWatchFallback(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
+// TestLogsFollowStreamEnd: when the database's watch stream ends under
+// -follow, logs reprints what the last notification announced, says
+// the stream ended, and exits 1 instead of hanging or degrading.
+func TestLogsFollowStreamEnd(t *testing.T) {
+	db := docstore.HandlerStore(docstore.New(), nil)
+	mux := http.NewServeMux()
+	mux.Handle("/", db)
+	mux.HandleFunc("/w/", func(w http.ResponseWriter, r *http.Request) {
+		// One notification, then the stream closes, as on a restart.
+		fmt.Fprintln(w, `{"seq":1,"op":"insert","coll":"events"}`)
+	})
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	if ch := openEventWatch(context.Background(), docstore.NewClient(srv.URL)); ch != nil {
-		t.Fatal("expected nil watch channel from a watchless server")
+	insertEvent(t, docstore.NewClient(srv.URL), "job-f", "first line", 300)
+
+	var out, errb bytes.Buffer
+	if code := logsCmd([]string{"-db", srv.URL, "-follow", "job-f"}, &out, &errb); code != 1 {
+		t.Fatalf("logs -follow exited %d, want 1 (stderr %q)", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "first line") {
+		t.Errorf("output missing event:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "watch stream ended") {
+		t.Errorf("stderr = %q, want it to say the watch stream ended", errb.String())
 	}
 }

@@ -113,7 +113,7 @@ func TestUnpackRejectsSymlinks(t *testing.T) {
 	}
 }
 
-func TestPackDirUnpackDir(t *testing.T) {
+func TestPackDirUnpackVFS(t *testing.T) {
 	src := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(src, "sub", ".git"), 0o755); err != nil {
 		t.Fatal(err)
@@ -126,17 +126,17 @@ func TestPackDirUnpackDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := t.TempDir()
-	if err := UnpackDir(data, dst, Limits{}); err != nil {
+	dst := vfs.New()
+	if err := UnpackVFS(data, dst, "/d", Limits{}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(filepath.Join(dst, "main.cu")); err != nil || string(got) != "code" {
+	if got, err := dst.ReadFile("/d/main.cu"); err != nil || string(got) != "code" {
 		t.Errorf("main.cu: %q, %v", got, err)
 	}
-	if got, err := os.ReadFile(filepath.Join(dst, "sub", "a.txt")); err != nil || string(got) != "aaa" {
+	if got, err := dst.ReadFile("/d/sub/a.txt"); err != nil || string(got) != "aaa" {
 		t.Errorf("sub/a.txt: %q, %v", got, err)
 	}
-	if _, err := os.Stat(filepath.Join(dst, "sub", ".git")); !os.IsNotExist(err) {
+	if dst.Exists("/d/sub/.git") {
 		t.Error(".git directory was shipped")
 	}
 }

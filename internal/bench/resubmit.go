@@ -162,8 +162,7 @@ func editOneLine(fs *vfs.FS, turn int) error {
 
 // RunResubmitLoad drives every student through the iterate-on-one-
 // project loop until the duration elapses. Students use the delta
-// protocol exclusively; a fallback to full upload is an error, since
-// the cluster under test is supposed to support it.
+// protocol exclusively.
 func RunResubmitLoad(ctx context.Context, clk clock.Clock, c *Cluster, cfg LoadConfig, creds []auth.Credentials, logTo io.Writer) (*LoadResult, *ResubmitStats, error) {
 	if clk == nil {
 		clk = clock.Real{}

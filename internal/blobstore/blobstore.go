@@ -70,7 +70,7 @@ const (
 // Has reports whether all bits in want are present.
 func (c Capability) Has(want Capability) bool { return c&want == want }
 
-// String renders the set for logs and /caps endpoints.
+// String renders the set for logs.
 func (c Capability) String() string {
 	var parts []string
 	for _, e := range []struct {

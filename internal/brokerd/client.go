@@ -1,6 +1,7 @@
 package brokerd
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -15,8 +16,7 @@ import (
 type Client struct {
 	conn net.Conn
 	fw   *frameWriter
-	fr   *frameReader
-	ver  int // negotiated protocol version (immutable after dial)
+	fr   *bufio.Reader
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -55,8 +55,7 @@ const DefaultDialTimeout = 10 * time.Second
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	timeout  time.Duration
-	jsonOnly bool
+	timeout time.Duration
 }
 
 // WithDialTimeout caps how long the TCP dial may take. The context's own
@@ -69,19 +68,8 @@ func WithDialTimeout(d time.Duration) DialOption {
 	}
 }
 
-// WithJSONCodec pins the connection to the legacy JSON encoding,
-// skipping the HELLO negotiation entirely — exactly what a pre-binary
-// client on the wire looks like. Useful for interop tests and for
-// talking through middleboxes that inspect the JSON protocol.
-func WithJSONCodec() DialOption {
-	return func(c *dialConfig) { c.jsonOnly = true }
-}
-
 // DialContext connects to a brokerd server, honoring ctx for
-// cancellation and deadline. Unless WithJSONCodec is given, it offers
-// the binary encoding via a HELLO frame and uses it when the server
-// agrees; an ERR reply (an old, JSON-only server) quietly keeps the
-// connection on JSON.
+// cancellation and deadline.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := dialConfig{timeout: DefaultDialTimeout}
 	for _, o := range opts {
@@ -96,64 +84,18 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 		conn:    conn,
 		fw:      newFrameWriter(conn),
 		fr:      newFrameReader(conn),
-		ver:     ProtocolJSON,
 		pending: map[uint64]chan *Frame{},
 		msgs:    make(chan *Delivery, 1024),
 		done:    make(chan struct{}),
-	}
-	if !cfg.jsonOnly {
-		if err := c.hello(ctx, cfg.timeout); err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
 	}
 	go c.readLoop()
 	return c, nil
 }
 
-// hello negotiates the wire encoding before the read loop starts, so
-// the exchange can use the connection directly. The handshake is
-// bounded by the sooner of ctx's deadline and the dial timeout: a
-// server that accepts but never replies gets its connection closed by
-// the watchdog, failing the pending read.
-func (c *Client) hello(ctx context.Context, timeout time.Duration) error {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	stop := context.AfterFunc(ctx, func() { _ = c.conn.Close() })
-	defer stop()
-	if err := c.fw.write(&Frame{Op: OpHello, Version: ProtocolBinary}); err != nil {
-		return err
-	}
-	reply, err := c.fr.read()
-	if err != nil {
-		return err
-	}
-	switch {
-	case reply.Op == OpOK && reply.Version >= ProtocolBinary:
-		// The server switched right after its OK; mirror it.
-		c.fw.setCodec(BinaryCodec)
-		c.fr.codec = BinaryCodec
-		c.ver = ProtocolBinary
-	case reply.Op == OpOK, reply.Op == OpErr:
-		// OK with an old version, or an old server rejecting HELLO as an
-		// unknown op: stay on JSON.
-	default:
-		return fmt.Errorf("brokerd: unexpected %s reply to HELLO", reply.Op)
-	}
-	return nil
-}
-
-// ProtocolVersion reports the negotiated wire encoding (ProtocolJSON or
-// ProtocolBinary).
-func (c *Client) ProtocolVersion() int { return c.ver }
-
 func (c *Client) readLoop() {
 	defer close(c.done)
 	for {
-		f, err := c.fr.read()
+		f, err := ReadFrame(c.fr)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err

@@ -2,20 +2,16 @@ package brokerd
 
 import (
 	"bytes"
-	"context"
 	"io"
-	"net"
 	"testing"
 	"time"
-	"unicode/utf8"
 )
 
-var fuzzOps = []string{OpPub, OpSub, OpAck, OpReq, OpPing, OpOK, OpErr, OpMsg, OpClose, OpStats, OpHello}
+var fuzzOps = []string{OpPub, OpSub, OpAck, OpReq, OpPing, OpOK, OpErr, OpMsg, OpClose, OpStats}
 
-// FuzzFrameRoundTrip drives both wire encodings with the same frame and
-// checks Encode→Decode is the identity. The binary codec must take
-// anything; the JSON leg is skipped where encoding/json is lossy by
-// design (invalid UTF-8 in strings, years outside RFC 3339).
+// FuzzFrameRoundTrip checks WriteFrame→ReadFrame is the identity for
+// any field values: the binary encoding must carry every string, body
+// and timestamp exactly.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint64(42), 3, 8, int64(1700000000_000000001), true, "rai", "tasks", "", []byte("job payload"))
 	f.Add(uint8(7), uint64(9), uint64(0), 0, 0, int64(0), false, "", "", "boom", []byte{})
@@ -35,36 +31,27 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if hasTime {
 			in.Time = time.Unix(0, nanos).UTC()
 		}
-		check := func(name string, c Codec, strict bool) {
-			var buf bytes.Buffer
-			if err := c.Encode(&buf, in); err != nil {
-				if strict {
-					t.Fatalf("%s: encode: %v", name, err)
-				}
-				return // e.g. JSON refuses years outside [0,9999]
-			}
-			out, err := c.Decode(&buf)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", name, err)
-			}
-			if out.Op != in.Op || out.Seq != in.Seq || out.MsgID != in.MsgID ||
-				out.Attempts != in.Attempts || out.MaxInFlight != in.MaxInFlight ||
-				out.Topic != in.Topic || out.Channel != in.Channel || out.Error != in.Error {
-				t.Fatalf("%s: fields drifted:\n in=%+v\nout=%+v", name, in, out)
-			}
-			if !bytes.Equal(out.Body, in.Body) {
-				t.Fatalf("%s: body %q != %q", name, out.Body, in.Body)
-			}
-			if !out.Time.Equal(in.Time) {
-				t.Fatalf("%s: time %v != %v", name, out.Time, in.Time)
-			}
-			if buf.Len() != 0 {
-				t.Fatalf("%s: %d trailing bytes after decode", name, buf.Len())
-			}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, in); err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-		check("binary", BinaryCodec, true)
-		if utf8.ValidString(topic) && utf8.ValidString(channel) && utf8.ValidString(errStr) {
-			check("json", JSONCodec, false)
+		out, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if out.Op != in.Op || out.Seq != in.Seq || out.MsgID != in.MsgID ||
+			out.Attempts != in.Attempts || out.MaxInFlight != in.MaxInFlight ||
+			out.Topic != in.Topic || out.Channel != in.Channel || out.Error != in.Error {
+			t.Fatalf("fields drifted:\n in=%+v\nout=%+v", in, out)
+		}
+		if !bytes.Equal(out.Body, in.Body) {
+			t.Fatalf("body %q != %q", out.Body, in.Body)
+		}
+		if !out.Time.Equal(in.Time) {
+			t.Fatalf("time %v != %v", out.Time, in.Time)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%d trailing bytes after decode", buf.Len())
 		}
 	})
 }
@@ -78,7 +65,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, binHeaderLen))
 	// A valid PUB frame as a seed so the corpus mutates from real shapes.
 	var buf bytes.Buffer
-	if err := BinaryCodec.Encode(&buf, &Frame{Op: OpPub, Seq: 1, Topic: "rai", Body: []byte("x")}); err != nil {
+	if err := WriteFrame(&buf, &Frame{Op: OpPub, Seq: 1, Topic: "rai", Body: []byte("x")}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes()[4:])
@@ -92,11 +79,11 @@ func FuzzBinaryDecode(f *testing.F) {
 		hdr[2] = byte(len(payload) >> 8)
 		hdr[3] = byte(len(payload))
 		r := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(payload))
-		out, err := BinaryCodec.Decode(r)
+		out, err := ReadFrame(r)
 		if err == nil {
 			// Whatever decoded must re-encode cleanly.
 			var buf bytes.Buffer
-			if err := BinaryCodec.Encode(&buf, out); err != nil {
+			if err := WriteFrame(&buf, out); err != nil {
 				t.Fatalf("decoded frame %+v will not re-encode: %v", out, err)
 			}
 		}
@@ -111,10 +98,10 @@ func TestStatsFrameBinaryRoundTrip(t *testing.T) {
 		{Topic: "log_1#x", Backlog: 0},
 	}}
 	var buf bytes.Buffer
-	if err := BinaryCodec.Encode(&buf, in); err != nil {
+	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := BinaryCodec.Decode(&buf)
+	out, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,199 +126,8 @@ func TestBinaryDecodeMalformed(t *testing.T) {
 		hdr[2] = byte(len(payload) >> 8)
 		buf.Write(hdr[:])
 		buf.Write(payload)
-		if _, err := BinaryCodec.Decode(&buf); err == nil {
+		if _, err := ReadFrame(&buf); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
-	}
-}
-
-// TestNegotiatedBinaryProtocol checks the default dial lands on the
-// binary encoding against a binary-capable server and the connection
-// still does real work afterwards.
-func TestNegotiatedBinaryProtocol(t *testing.T) {
-	_, srv := newPair(t)
-	c := dialT(t, srv)
-	if got := c.ProtocolVersion(); got != ProtocolBinary {
-		t.Fatalf("ProtocolVersion() = %d, want %d", got, ProtocolBinary)
-	}
-	if err := c.Ping(bg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestJSONClientAgainstBinaryServer runs the full pub/sub/ack flow with
-// a client pinned to the legacy JSON encoding — the interop guarantee
-// that pre-HELLO clients keep working against an upgraded server.
-func TestJSONClientAgainstBinaryServer(t *testing.T) {
-	_, srv := newPair(t)
-	c, err := DialContext(bg, srv.Addr(), WithJSONCodec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if got := c.ProtocolVersion(); got != ProtocolJSON {
-		t.Fatalf("ProtocolVersion() = %d, want %d", got, ProtocolJSON)
-	}
-	if err := c.Subscribe(bg, "rai", "tasks", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Publish(bg, "rai", []byte("legacy payload")); err != nil {
-		t.Fatal(err)
-	}
-	d := recvT(t, c)
-	if string(d.Body) != "legacy payload" || d.Topic != "rai" {
-		t.Fatalf("delivery = %+v", d)
-	}
-	if err := c.Requeue(bg, d); err != nil {
-		t.Fatal(err)
-	}
-	d = recvT(t, c)
-	if d.Attempts != 2 {
-		t.Fatalf("attempts after requeue = %d, want 2", d.Attempts)
-	}
-	if err := c.Ack(bg, d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stats(bg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBinaryClientAgainstLegacyServer points a binary-capable client at
-// a hand-rolled JSON-only server that rejects HELLO as an unknown op,
-// exactly like a pre-binary brokerd. The client must fall back to JSON
-// and keep working.
-func TestBinaryClientAgainstLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			f, err := ReadFrame(conn)
-			if err != nil {
-				return
-			}
-			switch f.Op {
-			case OpPing:
-				_ = WriteFrame(conn, &Frame{Op: OpOK, Seq: f.Seq})
-			default: // a legacy server has never heard of HELLO
-				_ = WriteFrame(conn, &Frame{Op: OpErr, Seq: f.Seq, Error: "unknown op"})
-			}
-		}
-	}()
-
-	c, err := DialContext(bg, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ProtocolVersion(); got != ProtocolJSON {
-		t.Fatalf("ProtocolVersion() = %d, want %d (fallback)", got, ProtocolJSON)
-	}
-	if err := c.Ping(bg); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	ln.Close()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		t.Fatal("fake server goroutine did not exit")
-	}
-}
-
-// TestHelloHandshakeTimeout points the client at a server that accepts
-// and then never replies: the watchdog must close the connection and
-// fail the dial instead of hanging.
-func TestHelloHandshakeTimeout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_, _ = io.Copy(io.Discard, conn) // read forever, reply never
-	}()
-
-	ctx, cancel := context.WithTimeout(bg, 200*time.Millisecond)
-	defer cancel()
-	if _, err := DialContext(ctx, ln.Addr().String()); err == nil {
-		t.Fatal("dial against a mute server succeeded")
-	}
-}
-
-// TestLegacyWireBytesUnchanged pins the pre-negotiation wire format: a
-// hand-written JSON frame must be readable by the server path and the
-// reply must be plain length-prefixed JSON, so captured traffic from
-// old deployments stays decodable.
-func TestLegacyWireBytesUnchanged(t *testing.T) {
-	_, srv := newPair(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	if err := WriteFrame(conn, &Frame{Op: OpPing, Seq: 99}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Op != OpOK || reply.Seq != 99 {
-		t.Fatalf("reply = %+v", reply)
-	}
-}
-
-// TestBrokerdEndToEndBothCodecs cross-pollinates: a binary publisher
-// feeding a JSON subscriber and vice versa, through one server.
-func TestBrokerdEndToEndBothCodecs(t *testing.T) {
-	_, srv := newPair(t)
-	binC := dialT(t, srv)
-	jsonC, err := DialContext(bg, srv.Addr(), WithJSONCodec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jsonC.Close() })
-
-	if err := jsonC.Subscribe(bg, "cross", "tasks", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := binC.Publish(bg, "cross", []byte("binary to json")); err != nil {
-		t.Fatal(err)
-	}
-	d := recvT(t, jsonC)
-	if string(d.Body) != "binary to json" {
-		t.Fatalf("body = %q", d.Body)
-	}
-	if err := jsonC.Ack(bg, d); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := binC.Subscribe(bg, "ssorc", "tasks", 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jsonC.Publish(bg, "ssorc", []byte("json to binary")); err != nil {
-		t.Fatal(err)
-	}
-	d = recvT(t, binC)
-	if string(d.Body) != "json to binary" {
-		t.Fatalf("body = %q", d.Body)
-	}
-	if err := binC.Ack(bg, d); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,19 +8,12 @@
 // sequence number that the matching reply echoes, so one connection can
 // pipeline publishes while a subscription streams messages.
 //
-// Two payload encodings exist. Every connection starts in the legacy
-// JSON encoding (a JSON object per frame). A client that also speaks
-// the compact binary encoding opens with a HELLO frame; a
-// binary-capable server replies OK carrying the agreed version and both
-// directions switch (DESIGN.md §11). Servers never initiate the
-// upgrade, so pre-HELLO clients interoperate unchanged, and a client
-// whose HELLO is refused (ERR from an old server) stays on JSON.
+// The payload is a compact binary encoding from a connection's first
+// byte: an op byte, fixed-width ids, and the body as raw bytes
+// (DESIGN.md §11).
 package brokerd
 
-import (
-	"io"
-	"time"
-)
+import "time"
 
 // Op codes used on the wire.
 const (
@@ -34,39 +27,25 @@ const (
 	OpMsg   = "MSG"   // server -> client: delivered message
 	OpClose = "CLOSE" // client -> server: close subscription
 	OpStats = "STATS" // client -> server: queue statistics snapshot
-	OpHello = "HELLO" // client -> server: negotiate the wire encoding
-)
-
-// Protocol versions carried in HELLO/OK frames.
-const (
-	// ProtocolJSON is the original encoding: JSON object payloads
-	// (message bodies base64-inflated by encoding/json).
-	ProtocolJSON = 1
-	// ProtocolBinary is the compact encoding: fixed-width header, raw
-	// body bytes, no per-frame reflection.
-	ProtocolBinary = 2
 )
 
 // Frame is the single wire message shape for both directions.
 type Frame struct {
-	Op      string `json:"op"`
-	Seq     uint64 `json:"seq,omitempty"`
-	Topic   string `json:"topic,omitempty"`
-	Channel string `json:"channel,omitempty"`
+	Op      string
+	Seq     uint64
+	Topic   string
+	Channel string
 	// MaxInFlight applies to SUB.
-	MaxInFlight int `json:"max_in_flight,omitempty"`
+	MaxInFlight int
 	// MsgID identifies the message for ACK/REQ and deliveries.
-	MsgID    uint64    `json:"msg_id,omitempty"`
-	Body     []byte    `json:"body,omitempty"`
-	Attempts int       `json:"attempts,omitempty"`
-	Time     time.Time `json:"time"`
-	Error    string    `json:"error,omitempty"`
-	// Version carries the protocol version in HELLO requests and their
-	// OK replies.
-	Version int `json:"version,omitempty"`
+	MsgID    uint64
+	Body     []byte
+	Attempts int
+	Time     time.Time
+	Error    string
 	// Stats carries the broker snapshot in OpStats replies (the queue
 	// depth signal provisioning watches, paper §VII).
-	Stats []TopicStats `json:"stats,omitempty"`
+	Stats []TopicStats
 }
 
 // TopicStats mirrors broker.TopicStats on the wire.
@@ -88,16 +67,3 @@ type ChannelStats struct {
 // the object store, not the queue, so frames stay small; 16 MiB is ample
 // and caps memory per connection).
 const maxFrameSize = 16 << 20
-
-// WriteFrame encodes f in the legacy JSON encoding with a length
-// prefix. Kept for wire compatibility (and the tests that speak the
-// old protocol by hand); connections negotiate codecs via HELLO.
-func WriteFrame(w io.Writer, f *Frame) error {
-	return JSONCodec.Encode(w, f)
-}
-
-// ReadFrame decodes one length-prefixed legacy JSON frame.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	return JSONCodec.Decode(r)
-}
-

@@ -38,7 +38,7 @@ func WithTelemetry(reg *telemetry.Registry) ServerOption {
 	return func(s *Server) {
 		s.connGauge = reg.Gauge("rai_brokerd_connections", "open client connections")
 		s.ops = map[string]*telemetry.Counter{}
-		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq, OpStats, OpClose, OpHello} {
+		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq, OpStats, OpClose} {
 			s.ops[op] = reg.Counter("rai_brokerd_ops_total", "wire operations served", telemetry.L("op", op))
 		}
 	}
@@ -102,8 +102,7 @@ func (s *Server) acceptLoop() {
 
 // serveConn handles one client connection: a read loop executing
 // commands, plus (once subscribed) a pump goroutine streaming
-// deliveries. Each connection starts in the JSON encoding; a HELLO
-// exchange switches both directions to the binary codec.
+// deliveries.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	s.connGauge.Add(1)
@@ -138,7 +137,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	for {
-		f, err := fr.read()
+		f, err := ReadFrame(fr)
 		if err != nil {
 			return // disconnect (EOF or broken frame)
 		}
@@ -146,17 +145,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.ops[f.Op].Inc() // nil map entry (unknown op) is a no-op
 		}
 		switch f.Op {
-		case OpHello:
-			if f.Version >= ProtocolBinary {
-				// The OK still travels in the old encoding; everything after
-				// it — in both directions — is binary.
-				if err := fw.writeSwitch(&Frame{Op: OpOK, Seq: f.Seq, Version: ProtocolBinary}, BinaryCodec); err != nil {
-					return
-				}
-				fr.codec = BinaryCodec
-				continue
-			}
-			_ = fw.write(&Frame{Op: OpOK, Seq: f.Seq, Version: ProtocolJSON})
 		case OpPing:
 			reply(f.Seq, nil, 0)
 		case OpPub:

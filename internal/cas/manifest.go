@@ -10,7 +10,6 @@ import (
 	"io/fs"
 	"os"
 	"path"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +18,7 @@ import (
 )
 
 // Magic prefixes every encoded manifest. The worker sniffs it to decide
-// whether an upload object is a manifest or a legacy tar.bz2 archive,
+// whether an upload object is a manifest or a tar.bz2 archive,
 // so it must not collide with the bzip2 signature ("BZh").
 const Magic = "RAICAS1\n"
 
@@ -195,50 +194,32 @@ type chunkLoc struct {
 	size int64
 }
 
-type dirSource struct {
-	root string
+// fsSource re-reads chunks from the tree the manifest was built from,
+// checking each against its hash so an edit made after hashing fails
+// the upload instead of sending bytes the manifest does not describe.
+type fsSource struct {
+	fsys fs.FS
 	locs map[string]chunkLoc
 }
 
-func (s *dirSource) Chunk(hash string) ([]byte, error) {
+func (s *fsSource) Chunk(hash string) ([]byte, error) {
 	loc, ok := s.locs[hash]
 	if !ok {
 		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
 	}
-	f, err := os.Open(filepath.Join(s.root, filepath.FromSlash(loc.path)))
+	f, err := s.fsys.Open(loc.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	ra, ok := f.(io.ReaderAt)
+	if !ok {
+		return nil, fmt.Errorf("cas: %s cannot be read at an offset", loc.path)
+	}
 	buf := make([]byte, loc.size)
-	if _, err := f.ReadAt(buf, loc.off); err != nil {
+	if _, err := ra.ReadAt(buf, loc.off); err != nil {
 		return nil, fmt.Errorf("cas: rereading chunk %s from %s: %w", hash, loc.path, err)
 	}
-	if HashHex(buf) != hash {
-		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s)", loc.path, hash)
-	}
-	return buf, nil
-}
-
-type vfsSource struct {
-	fs   *vfs.FS
-	root string
-	locs map[string]chunkLoc
-}
-
-func (s *vfsSource) Chunk(hash string) ([]byte, error) {
-	loc, ok := s.locs[hash]
-	if !ok {
-		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
-	}
-	data, err := s.fs.ReadFile(path.Join(s.root, loc.path))
-	if err != nil {
-		return nil, err
-	}
-	if loc.off+loc.size > int64(len(data)) {
-		return nil, fmt.Errorf("cas: chunk %s out of range in %s", hash, loc.path)
-	}
-	buf := data[loc.off : loc.off+loc.size]
 	if HashHex(buf) != hash {
 		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s)", loc.path, hash)
 	}
@@ -260,124 +241,56 @@ func chunkFile(rel string, data []byte, locs map[string]chunkLoc) FileEntry {
 	return fe
 }
 
-// skipDir mirrors archivex.PackDirTo's VCS-metadata exclusions so the
-// manifest describes exactly the tree a packed archive would carry.
-func skipDir(name string) bool {
-	return name == ".git" || name == ".hg" || name == ".svn"
-}
+// VCSDir reports whether a directory named name holds version-control
+// history (.git, .hg, .svn). Project trees never carry it: the manifest
+// builder here and archivex's packer both skip it, so the two
+// transports describe the same tree.
+func VCSDir(name string) bool { return name == ".git" || name == ".hg" || name == ".svn" }
 
 // BuildDir scans a host directory into a manifest plus a Source for its
-// chunks. File selection matches archivex.PackDir: VCS metadata
-// directories are skipped and only regular files are included, so the
-// tree hash agrees with what the worker computes after unpacking the
-// equivalent archive.
-func BuildDir(root string) (*Manifest, Source, error) {
+// chunks.
+func BuildDir(root string) (*Manifest, Source, error) { return build(os.DirFS(root)) }
+
+// BuildVFS scans a virtual-filesystem subtree into a manifest plus a
+// Source for its chunks. The worker uses it to hash tar uploads after
+// unpacking, so full-archive submissions still hit the build cache.
+func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) { return build(fsys.IOFS(root)) }
+
+// build hashes every directory and regular file under fsys. File
+// selection matches archivex's packer (VCS directories skipped, only
+// regular files included), so the tree hash agrees with what the worker
+// computes after unpacking the equivalent archive.
+func build(fsys fs.FS) (*Manifest, Source, error) {
 	m := &Manifest{}
-	src := &dirSource{root: root, locs: make(map[string]chunkLoc)}
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+	src := &fsSource{fsys: fsys, locs: make(map[string]chunkLoc)}
+	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || p == "." {
 			return err
 		}
-		rel, rerr := filepath.Rel(root, p)
-		if rerr != nil {
-			return rerr
-		}
-		rel = filepath.ToSlash(rel)
-		if rel == "." {
-			return nil
-		}
 		if d.IsDir() {
-			if skipDir(d.Name()) {
-				return filepath.SkipDir
+			if VCSDir(d.Name()) {
+				return fs.SkipDir
 			}
-			m.Dirs = append(m.Dirs, rel)
+			m.Dirs = append(m.Dirs, p)
 			return nil
 		}
 		if !d.Type().IsRegular() {
 			return nil
 		}
-		data, rerr := os.ReadFile(p)
-		if rerr != nil {
-			return rerr
+		data, err := fs.ReadFile(fsys, p)
+		if err != nil {
+			return err
 		}
-		fe := chunkFile(rel, data, src.locs)
+		fe := chunkFile(p, data, src.locs)
 		m.Files = append(m.Files, fe)
 		m.TotalBytes += fe.Size
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("cas: scanning %s: %w", root, err)
+		return nil, nil, fmt.Errorf("cas: scanning tree: %w", err)
 	}
 	m.Seal()
 	return m, src, nil
-}
-
-// BuildVFS scans a virtual-filesystem subtree into a manifest plus a
-// chunk Source. The worker uses it to hash legacy (tar) uploads after
-// unpacking, so full-archive submissions still hit the build cache.
-func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) {
-	m := &Manifest{}
-	src := &vfsSource{fs: fsys, root: root, locs: make(map[string]chunkLoc)}
-	cleanRoot := path.Clean(root)
-	err := fsys.Walk(cleanRoot, func(p string, fi vfs.FileInfo) error {
-		rel := strings.TrimPrefix(p, cleanRoot)
-		rel = strings.TrimPrefix(rel, "/")
-		if rel == "" {
-			return nil
-		}
-		if fi.Dir {
-			if skipDir(fi.Name) {
-				return nil // vfs.Walk has no SkipDir; children are filtered below
-			}
-			m.Dirs = append(m.Dirs, rel)
-			return nil
-		}
-		data, rerr := fsys.ReadFile(p)
-		if rerr != nil {
-			return rerr
-		}
-		fe := chunkFile(rel, data, src.locs)
-		m.Files = append(m.Files, fe)
-		m.TotalBytes += fe.Size
-		return nil
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("cas: scanning vfs %s: %w", root, err)
-	}
-	// Filter out anything under a skipped VCS directory (Walk cannot
-	// prune subtrees).
-	m.Dirs = filterSkipped(m.Dirs)
-	files := m.Files[:0]
-	m.TotalBytes = 0
-	for _, f := range m.Files {
-		if underSkipped(f.Path) {
-			continue
-		}
-		files = append(files, f)
-		m.TotalBytes += f.Size
-	}
-	m.Files = files
-	m.Seal()
-	return m, src, nil
-}
-
-func underSkipped(rel string) bool {
-	for _, seg := range strings.Split(rel, "/") {
-		if skipDir(seg) {
-			return true
-		}
-	}
-	return false
-}
-
-func filterSkipped(dirs []string) []string {
-	out := dirs[:0]
-	for _, d := range dirs {
-		if !underSkipped(d) {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // ---- materializing ----

@@ -2,35 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"rai/internal/build"
 	"rai/internal/cas"
-	"rai/internal/objstore"
 	"rai/internal/telemetry"
 )
-
-// CASObjects is the optional delta-resubmission extension of the
-// Objects port (DESIGN.md §16): negotiate a manifest against the
-// store's chunk inventory, then upload only what is missing. The HTTP
-// client implements it against the /cas endpoints; LocalObjects
-// implements it directly against the engine so simulations exercise the
-// same protocol. Callers type-assert and fall back to full uploads when
-// the port (or the server behind it) lacks the capability.
-type CASObjects interface {
-	// MissingChunks returns the subset of the manifest's chunks absent
-	// from the store, refreshing the TTL of those present.
-	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
-	// PutChunks uploads the named chunks from src and returns the
-	// payload bytes transferred.
-	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
-}
-
-// ErrDeltaUnsupported reports that delta submission cannot be used on
-// this transport/server pair; callers should fall back to
-// SubmitReaderContext with a full archive.
-var ErrDeltaUnsupported = errors.New("core: delta submission unsupported; fall back to full upload")
 
 // TransferStats describes what one delta submission actually moved —
 // the numbers behind the CLI's transfer summary line.
@@ -60,17 +37,11 @@ func (t *TransferStats) DedupRatio() float64 {
 	return float64(saved) / float64(t.TotalBytes)
 }
 
-// SubmitManifestContext runs the delta submission sequence: negotiate
-// the manifest, stream only missing chunks, store the manifest as the
-// upload object, and enqueue the job exactly like SubmitReaderContext.
-// Returns ErrDeltaUnsupported (possibly wrapping the probe error) when
-// the Objects port or the server cannot speak the protocol — the caller
-// falls back to a full archive upload.
+// SubmitManifestContext runs the delta submission sequence (DESIGN.md
+// §16): negotiate the manifest, stream only missing chunks, store the
+// manifest as the upload object, and enqueue the job exactly like
+// SubmitContext.
 func (c *Client) SubmitManifestContext(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
-	co, ok := c.Objects.(CASObjects)
-	if !ok {
-		return nil, ErrDeltaUnsupported
-	}
 	jobID := NewJobID()
 	root, sampled := c.startJobSpan(jobID, kind)
 	ctx = telemetry.ContextWithJobID(ctx, jobID)
@@ -78,16 +49,14 @@ func (c *Client) SubmitManifestContext(ctx context.Context, kind string, spec *b
 	up := root.Child("upload")
 	upCtx := telemetry.ContextWithSpan(ctx, up)
 
-	missing, err := co.MissingChunks(upCtx, m)
+	missing, err := c.Objects.MissingChunks(upCtx, m)
 	if err != nil {
 		up.End()
 		root.End()
-		// A server without the capability — or an unreachable /caps — is
-		// not a failed submission; report "fall back" and let the caller
-		// retry with the archive path, which has its own retry budget.
-		return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
+		c.Log.Error(upCtx, "manifest negotiation failed", telemetry.L("error", err.Error()))
+		return nil, fmt.Errorf("core: negotiating manifest: %w", err)
 	}
-	sent, err := co.PutChunks(upCtx, missing, src)
+	sent, err := c.Objects.PutChunks(upCtx, missing, src)
 	if err != nil {
 		up.End()
 		root.End()
@@ -130,11 +99,7 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// Compile-time: both Objects implementations speak the delta port.
-var _ CASObjects = (*objstore.Client)(nil)
-var _ CASObjects = LocalObjects{}
-
-// MissingChunks implements CASObjects against the in-process engine,
+// MissingChunks implements Objects against the in-process engine,
 // mirroring the server handler: present chunks get their TTL refreshed.
 func (o LocalObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
 	if err := ctx.Err(); err != nil {
@@ -152,7 +117,7 @@ func (o LocalObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]str
 	return missing, nil
 }
 
-// PutChunks implements CASObjects against the in-process engine.
+// PutChunks implements Objects against the in-process engine.
 func (o LocalObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
 	var total int64
 	for _, h := range hashes {

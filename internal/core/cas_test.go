@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -201,23 +200,5 @@ func TestSubmissionsNeverCached(t *testing.T) {
 	}
 	if res2.CachedBuild {
 		t.Error("final submission was answered from the build cache")
-	}
-}
-
-// plainObjects hides the CAS methods of the underlying port — a stand-in
-// for an old transport that only speaks the Objects interface.
-type plainObjects struct{ Objects }
-
-// TestDeltaFallbackSignal is new-client↔old-server interop at the core
-// layer: a transport without the delta port yields ErrDeltaUnsupported
-// (the CLI's cue to fall back to a full upload), not a failed job.
-func TestDeltaFallbackSignal(t *testing.T) {
-	e := newEnv(t)
-	c := e.client(t, "team-fallback")
-	c.Objects = plainObjects{e.objects}
-	_, m, src := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-fallback"})
-	_, err := c.SubmitManifestContext(context.Background(), KindRun, build.Default(), m, src)
-	if !errors.Is(err, ErrDeltaUnsupported) {
-		t.Fatalf("err = %v, want ErrDeltaUnsupported", err)
 	}
 }

@@ -108,22 +108,13 @@ func CheckSubmissionFiles(fs *vfs.FS, dir string) error {
 	return nil
 }
 
-// SubmitContext runs the full client sequence for a packed project
-// archive held in memory. Thin adapter over SubmitReaderContext.
+// SubmitContext runs the full client sequence for a packed .tar.bz2
+// project archive — the paper's upload path. kind is KindRun or
+// KindSubmit; spec is the parsed build file (ignored by workers for
+// KindSubmit). It blocks streaming logs to Stdout until the End message
+// arrives; canceling ctx abandons the job (the worker still runs it,
+// but nobody is watching the log topic).
 func (c *Client) SubmitContext(ctx context.Context, kind string, spec *build.Spec, archive []byte) (*JobResult, error) {
-	return c.SubmitReaderContext(ctx, kind, spec, bytes.NewReader(archive), int64(len(archive)))
-}
-
-// SubmitReaderContext runs the full client sequence for a project
-// archive streamed from r (size in bytes, or -1 when unknown) — the
-// CLI packs to a temp file and hands it here, so an archive larger
-// than memory uploads in flat space and can rewind on retry when r is
-// seekable. kind is KindRun or KindSubmit; spec is the parsed build
-// file (ignored by workers for KindSubmit). It blocks streaming logs
-// to Stdout until the End message arrives; canceling ctx abandons the
-// job (the worker still runs it, but nobody is watching the log
-// topic).
-func (c *Client) SubmitReaderContext(ctx context.Context, kind string, spec *build.Spec, r io.Reader, size int64) (*JobResult, error) {
 	jobID := NewJobID()
 	root, sampled := c.startJobSpan(jobID, kind)
 	ctx = telemetry.ContextWithJobID(ctx, jobID)
@@ -135,7 +126,8 @@ func (c *Client) SubmitReaderContext(ctx context.Context, kind string, spec *bui
 	uploadKey := fmt.Sprintf("%s/%s/project.tar.bz2", c.Creds.UserName, jobID)
 	up := root.Child("upload")
 	upCtx := telemetry.ContextWithSpan(ctx, up)
-	if err := c.Objects.PutReader(upCtx, BucketUploads, uploadKey, r, size, UploadTTL); err != nil {
+	size := int64(len(archive))
+	if err := c.Objects.PutReader(upCtx, BucketUploads, uploadKey, bytes.NewReader(archive), size, UploadTTL); err != nil {
 		up.End()
 		root.End()
 		c.Log.Error(upCtx, "project upload failed", telemetry.L("error", err.Error()))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rai/internal/build"
+	"rai/internal/cas"
 	"rai/internal/cnn"
 	"rai/internal/docstore"
 	"rai/internal/objstore"
@@ -84,6 +85,14 @@ func (f *flakyObjects) List(ctx context.Context, bucket, prefix string) ([]objst
 
 func (f *flakyObjects) Delete(ctx context.Context, bucket, key string) error {
 	return f.inner.Delete(ctx, bucket, key)
+}
+
+func (f *flakyObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
+	return f.inner.MissingChunks(ctx, m)
+}
+
+func (f *flakyObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
+	return f.inner.PutChunks(ctx, hashes, src)
 }
 
 // failingDB wraps a docstore.Store and errors every write.

@@ -7,6 +7,7 @@ import (
 
 	"rai/internal/broker"
 	"rai/internal/brokerd"
+	"rai/internal/cas"
 	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/telemetry"
@@ -208,9 +209,9 @@ func (s remoteSub) Close() error       { return s.conn.Close() }
 // Objects is the file-server port, satisfied by the HTTP client
 // (objstore.Client) directly and by the engine through LocalObjects.
 // The streaming pair moves archives without materializing them: the
-// client uploads from a temp file, the worker unpacks straight off the
-// response body. size < 0 means unknown (chunked upload); GetReader's
-// int64 is the content length (-1 when the server does not say).
+// worker unpacks straight off the response body. size < 0 means unknown
+// (chunked upload); GetReader's int64 is the content length (-1 when
+// the server does not say).
 type Objects interface {
 	Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error
 	Get(ctx context.Context, bucket, key string) ([]byte, error)
@@ -218,6 +219,13 @@ type Objects interface {
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
 	List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error)
 	Delete(ctx context.Context, bucket, key string) error
+	// MissingChunks returns the subset of the manifest's chunks absent
+	// from the store, refreshing the TTL of those present (DESIGN.md
+	// §16).
+	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
+	// PutChunks uploads the named chunks from src and returns the
+	// payload bytes transferred.
+	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
 }
 
 // LocalObjects adapts the in-process engine to Objects. ctx only gates

@@ -516,8 +516,8 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 	var res execResult
 
 	// Worker step 4: download and unpack the project. The upload object
-	// is either a legacy tar.bz2 archive or a CAS manifest (DESIGN.md
-	// §16) — sniffed by magic, so old clients need no flag. Archives
+	// is either a tar.bz2 archive (SubmitContext, the paper's path) or a
+	// CAS manifest (DESIGN.md §16), told apart by magic. Archives
 	// stream straight into the unpacker; manifests materialize the tree
 	// chunk by chunk from the store. The download span rides the request
 	// context so storage child spans nest under it, and covers the whole
@@ -570,7 +570,7 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 			logf(LogSystem, "cannot unpack project archive: %v", err)
 			return res
 		}
-		// Hash the unpacked tree so legacy archive uploads share the
+		// Hash the unpacked tree so archive uploads share the
 		// build cache with manifest submissions of the same content.
 		if m, _, herr := cas.BuildVFS(hostFS, "/src"); herr == nil {
 			treeHash = m.TreeHash

@@ -87,6 +87,19 @@ func (db *DB) coll(name string) (*collection, error) {
 	return c, nil
 }
 
+// view is coll for readers holding only db.mu.RLock: a missing
+// collection reads as empty instead of being created, since creating
+// it would write db.collections under a shared lock.
+func (db *DB) view(name string) (*collection, error) {
+	if !validCollection(name) {
+		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
+	}
+	if c, ok := db.collections[name]; ok {
+		return c, nil
+	}
+	return &collection{}, nil
+}
+
 // normalize round-trips v through JSON so stored values use JSON typing.
 func normalize(v any) (M, error) {
 	raw, err := json.Marshal(v)
@@ -154,7 +167,7 @@ type FindOpts struct {
 func (db *DB) Find(collName string, filter M, opts FindOpts) ([]M, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	c, err := db.coll(collName)
+	c, err := db.view(collName)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +217,7 @@ func (db *DB) FindOne(collName string, filter M) (M, error) {
 func (db *DB) Count(collName string, filter M) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	c, err := db.coll(collName)
+	c, err := db.view(collName)
 	if err != nil {
 		return 0, err
 	}

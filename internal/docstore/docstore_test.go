@@ -2,8 +2,10 @@ package docstore
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +267,30 @@ func TestCollectionsAndDrop(t *testing.T) {
 	db.Drop("a")
 	if got := db.Collections(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("after drop = %v", got)
+	}
+}
+
+// TestConcurrentReadsOfMissingCollection: Find and Count share db.mu
+// as readers, so reading a collection nobody has written must not
+// create it (two readers creating it at once write one map together).
+func TestConcurrentReadsOfMissingCollection(t *testing.T) {
+	db := New()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			if docs, err := db.Find(name, M{"user": "u"}, FindOpts{Limit: 1}); err != nil || len(docs) != 0 {
+				t.Errorf("Find(%s) = %v, %v", name, docs, err)
+			}
+			if n, err := db.Count(name, M{}); err != nil || n != 0 {
+				t.Errorf("Count(%s) = %d, %v", name, n, err)
+			}
+		}(fmt.Sprintf("jobs%d", i%2))
+	}
+	wg.Wait()
+	if got := db.Collections(); len(got) != 0 {
+		t.Errorf("reads created collections %v", got)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 //	POST /c/{coll}/update  {"filter": {...}, "update":{}}  -> {"n": 2}
 //	POST /c/{coll}/upsert  {"filter": {...}, "update":{}}  -> {"id": "..."}
 //	POST /c/{coll}/delete  {"filter": {...}}               -> {"n": 1}
-//	GET  /caps                                             -> {"watch": true}
 //	GET  /w/{coll}         ndjson stream of WatchEvent ({coll} empty = all)
 //	GET  /healthz
 
@@ -50,13 +49,6 @@ type rpcResponse struct {
 	N     int    `json:"n,omitempty"`
 	Docs  []M    `json:"docs,omitempty"`
 	Error string `json:"error,omitempty"`
-}
-
-// Caps is the capability document served at GET /caps, so clients can
-// negotiate optional features (watch streams) and degrade to polling
-// against servers that lack them.
-type Caps struct {
-	Watch bool `json:"watch"`
 }
 
 // HandlerOption configures the HTTP layer.
@@ -140,13 +132,7 @@ func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	if h.reg != nil {
 		mux.Handle("/metrics", h.reg.Handler())
 	}
-	// Capability negotiation: a follower probes /caps before choosing
-	// between a watch stream and polling. Unauthenticated, like /healthz
-	// — it reveals feature flags, not data.
 	watcher, canWatch := db.(Watcher)
-	mux.HandleFunc("/caps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Caps{Watch: canWatch})
-	})
 	mux.HandleFunc("/w/", func(w http.ResponseWriter, r *http.Request) {
 		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
 			writeJSON(w, http.StatusForbidden, rpcResponse{Error: "forbidden"})
@@ -413,46 +399,9 @@ func (c *Client) DeleteContext(ctx context.Context, coll string, filter M) (int,
 	return resp.N, err
 }
 
-// CapsContext fetches the server's capability document. A
-// pre-capability server (404 on /caps) reports no capabilities and no
-// error, so callers can fall back without special-casing old daemons.
-func (c *Client) CapsContext(ctx context.Context) (Caps, error) {
-	caps, err := netx.DoVal(ctx, c.Policy, func(ctx context.Context) (Caps, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/caps", nil)
-		if err != nil {
-			return Caps{}, netx.Permanent(err)
-		}
-		if c.Sign != nil {
-			c.Sign(hreq)
-		}
-		hresp, err := c.HTTP.Do(hreq)
-		if err != nil {
-			return Caps{}, err
-		}
-		defer func() {
-			_, _ = io.Copy(io.Discard, io.LimitReader(hresp.Body, 64<<10))
-			hresp.Body.Close()
-		}()
-		if hresp.StatusCode != http.StatusOK {
-			return Caps{}, &netx.StatusError{Op: "docstore caps", Code: hresp.StatusCode, Msg: hresp.Status}
-		}
-		var caps Caps
-		if err := json.NewDecoder(hresp.Body).Decode(&caps); err != nil {
-			return Caps{}, fmt.Errorf("docstore client: bad caps: %w", err)
-		}
-		return caps, nil
-	})
-	var se *netx.StatusError
-	if errors.As(err, &se) && se.Code == http.StatusNotFound {
-		return Caps{}, nil
-	}
-	return caps, err
-}
-
 // WatchContext subscribes to the server's mutation stream for coll
 // ("" = all collections). The returned channel closes when ctx ends or
-// the stream breaks; callers wanting resilience probe CapsContext and
-// fall back to polling. The stream is long-lived, so it runs outside
+// the stream breaks. The stream is long-lived, so it runs outside
 // the retry policy on the caller's context alone.
 func (c *Client) WatchContext(ctx context.Context, coll string) (<-chan WatchEvent, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/w/"+coll, nil)

@@ -99,9 +99,9 @@ func (db *DB) emit(op, coll, id string) {
 	}
 }
 
-// Watcher is the optional capability interface the HTTP layer
-// negotiates: DB and PersistentDB implement it; remote Clients expose
-// WatchContext instead.
+// Watcher is the store interface the HTTP layer's /w/ stream serves:
+// DB and PersistentDB implement it; remote Clients expose WatchContext
+// instead.
 type Watcher interface {
 	Watch(ctx context.Context, coll string) *WatchSub
 }

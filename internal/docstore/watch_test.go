@@ -2,14 +2,11 @@ package docstore
 
 import (
 	"context"
-	"errors"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"rai/internal/blobstore"
-	"rai/internal/netx"
 )
 
 var testCtx = context.Background()
@@ -101,14 +98,6 @@ func TestHTTPWatchStream(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	caps, err := c.CapsContext(testCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !caps.Watch {
-		t.Fatalf("caps = %+v, want watch", caps)
-	}
-
 	ctx, cancel := context.WithCancel(testCtx)
 	defer cancel()
 	ch, err := c.WatchContext(ctx, "jobs")
@@ -153,25 +142,6 @@ waiting:
 		case <-deadline:
 			t.Fatal("stream did not close after cancel")
 		}
-	}
-}
-
-func TestHTTPCapsFallbackOnOldServer(t *testing.T) {
-	old := httptest.NewServer(http.NotFoundHandler())
-	defer old.Close()
-	c := NewClient(old.URL)
-	caps, err := c.CapsContext(testCtx)
-	if err != nil {
-		t.Fatalf("caps against old server: %v", err)
-	}
-	if caps != (Caps{}) {
-		t.Errorf("caps = %+v, want zero", caps)
-	}
-	// And the watch endpoint errors cleanly rather than hanging.
-	_, err = c.WatchContext(testCtx, "jobs")
-	var se *netx.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
-		t.Errorf("watch error = %v, want 404 StatusError", err)
 	}
 }
 

@@ -10,10 +10,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"rai/internal/blobstore"
 	"rai/internal/clock"
 	"rai/internal/netx"
 	"rai/internal/telemetry"
@@ -34,20 +32,6 @@ const (
 // enforced on the stream, not by buffering the body first).
 const MaxObjectBytes = 2 << 30
 
-// Caps is the JSON document served at /caps: the backend's negotiated
-// capabilities, so clients degrade gracefully against older servers or
-// leaner backends.
-type Caps struct {
-	Stream       bool `json:"stream"`
-	AtomicRename bool `json:"atomic_rename"`
-	Watch        bool `json:"watch"`
-	Append       bool `json:"append"`
-	// CAS advertises the delta-resubmission endpoints (/cas/negotiate,
-	// /cas/chunks). Old servers omit the field, so old-server JSON
-	// decodes to false and new clients fall back to full uploads.
-	CAS bool `json:"cas"`
-}
-
 // Handler serves the store over HTTP:
 //
 //	PUT    /o/{bucket}/{key}   store (X-RAI-TTL-Seconds optional; body streamed)
@@ -55,7 +39,6 @@ type Caps struct {
 //	HEAD   /o/{bucket}/{key}   metadata
 //	DELETE /o/{bucket}/{key}   remove
 //	GET    /l/{bucket}?prefix= list (JSON)
-//	GET    /caps               backend capabilities (JSON)
 //	GET    /healthz            liveness
 //	GET    /metrics            Prometheus exposition (with WithTelemetry)
 func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
@@ -70,20 +53,6 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/caps", func(w http.ResponseWriter, r *http.Request) {
-		// Capability negotiation: clients probe this before relying on
-		// optional behaviour (watch vs poll). Unauthenticated like
-		// /healthz — it reveals backend shape, not data.
-		caps := s.Capabilities()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(Caps{
-			Stream:       caps.Has(blobstore.CapStream),
-			AtomicRename: caps.Has(blobstore.CapAtomicRename),
-			Watch:        caps.Has(blobstore.CapWatch),
-			Append:       caps.Has(blobstore.CapAppend),
-			CAS:          true,
-		})
 	})
 	if h.reg != nil {
 		mux.Handle("/metrics", h.reg.Handler())
@@ -378,10 +347,6 @@ type Client struct {
 	// Policy governs retries and deadlines; NewClient seeds PerAttempt
 	// with DefaultRequestTimeout when unset.
 	Policy netx.Policy
-
-	// casMu guards casProbe, the memoized /caps CAS verdict (cas.go).
-	casMu    sync.Mutex
-	casProbe *bool
 }
 
 // ClientOption configures NewClient.
@@ -539,26 +504,6 @@ func (c *Client) GetReader(ctx context.Context, bucket, key string) (io.ReadClos
 		return nil, 0, err
 	}
 	return resp.Body, resp.ContentLength, nil
-}
-
-// Caps fetches the server's capability document. A server predating
-// /caps answers 404, which reports as no optional capabilities rather
-// than an error — exactly the degradation the negotiation exists for.
-func (c *Client) Caps(ctx context.Context) (Caps, error) {
-	var caps Caps
-	err := c.roundTrip(ctx, "caps", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/caps", nil)
-	}, func(resp *http.Response) error {
-		return json.NewDecoder(resp.Body).Decode(&caps)
-	})
-	if err != nil {
-		var se *netx.StatusError
-		if errors.As(err, &se) && se.Code == http.StatusNotFound {
-			return Caps{}, nil
-		}
-		return Caps{}, err
-	}
-	return caps, nil
 }
 
 // Delete removes bucket/key.

@@ -93,12 +93,8 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // routing bucket prefixes to different engines).
 func NewWithBackend(be blobstore.Backend) *Store { return &Store{be: be} }
 
-// Backend exposes the underlying engine for capability negotiation and
-// watch subscriptions.
+// Backend exposes the underlying engine for watch subscriptions.
 func (s *Store) Backend() blobstore.Backend { return s.be }
-
-// Capabilities reports what the underlying backend supports.
-func (s *Store) Capabilities() blobstore.Capability { return s.be.Capabilities() }
 
 // Close releases the backend (ends watch subscriptions).
 func (s *Store) Close() error { return s.be.Close() }

@@ -618,6 +618,20 @@ func (i ioFS) Open(name string) (fs.File, error) {
 	return &ioFile{info: fi, data: data}, nil
 }
 
+// ReadFile implements fs.ReadFileFS, so fs.ReadFile hands back the one
+// copy FS.ReadFile makes instead of copying it again through Open.
+func (i ioFS) ReadFile(name string) ([]byte, error) {
+	p, err := i.abs(name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := i.f.ReadFile(p)
+	if err != nil {
+		return nil, &fs.PathError{Op: "readfile", Path: name, Err: err}
+	}
+	return data, nil
+}
+
 func (i ioFS) ReadDir(name string) ([]fs.DirEntry, error) {
 	p, err := i.abs(name)
 	if err != nil {
@@ -648,6 +662,21 @@ func (f *ioFile) Read(p []byte) (int, error) {
 	}
 	n := copy(p, f.data[f.off:])
 	f.off += n
+	return n, nil
+}
+
+// ReadAt implements io.ReaderAt over the snapshot taken at Open.
+func (f *ioFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, &fs.PathError{Op: "readat", Path: f.info.Name, Err: fs.ErrInvalid}
+	}
+	if off >= int64(len(f.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
 	return n, nil
 }
 

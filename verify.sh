@@ -10,6 +10,10 @@ set -eux
 
 go vet ./...
 go build ./...
+# The benchmark is its own module over this one (perfbench/go.mod
+# replaces rai with ../): build, vet and unit-test it here so an
+# internal API change that breaks the benchmark fails verification.
+(cd perfbench && go vet ./... && go test ./...)
 # The full static-analysis pass, with the suppression budget pinned to
 # the current debt: adding a //lint:ignore now means paying one down or
 # raising the number here in review.
