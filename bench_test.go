@@ -457,14 +457,15 @@ func BenchmarkWireCodec(b *testing.B) {
 // sizes.
 func BenchmarkObjstorePutGet(b *testing.B) {
 	s := objstore.New()
+	ctx := context.Background()
 	payload := bytes.Repeat([]byte("x"), 1<<20)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Put("uploads", "team/proj.tar.bz2", payload, 0); err != nil {
+		if _, err := s.Put(ctx, "uploads", "team/proj.tar.bz2", payload, 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := s.Get("uploads", "team/proj.tar.bz2"); err != nil {
+		if _, _, err := s.Get(ctx, "uploads", "team/proj.tar.bz2"); err != nil {
 			b.Fatal(err)
 		}
 	}

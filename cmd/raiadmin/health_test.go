@@ -184,7 +184,7 @@ func TestTraceExemplarSlowest(t *testing.T) {
 		"rai_worker_job_seconds_sum 4.7\n" +
 		"rai_worker_job_seconds_count 2\n"
 	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer dsrv.Close()
 	db := docstore.NewClient(dsrv.URL)
 	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
@@ -213,7 +213,7 @@ func TestTraceExemplarMetricFilter(t *testing.T) {
 	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-job\"} 9.9\n" +
 		"rai_queue_delay_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-queue\"} 0.2\n"
 	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer dsrv.Close()
 	db := docstore.NewClient(dsrv.URL)
 	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
@@ -235,7 +235,7 @@ func TestTraceExemplarMissingTrace(t *testing.T) {
 	// honestly, not render an empty timeline.
 	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-gone\"} 2.2\n"
 	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer dsrv.Close()
 
 	var out, errb bytes.Buffer

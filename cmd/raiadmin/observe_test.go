@@ -26,7 +26,7 @@ func insertEvent(t *testing.T, db *docstore.Client, jobID, msg string, tsS float
 }
 
 func TestLogsPrintsEvents(t *testing.T) {
-	srv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer srv.Close()
 	db := docstore.NewClient(srv.URL)
 	insertEvent(t, db, "job-1", "container started", 100)
@@ -48,7 +48,7 @@ func TestLogsPrintsEvents(t *testing.T) {
 // watch opens on the events collection and delivers a notification per
 // insert, and a burst collapses into one reprint.
 func TestLogsWatchNegotiation(t *testing.T) {
-	srv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer srv.Close()
 	db := docstore.NewClient(srv.URL)
 
@@ -106,7 +106,7 @@ func TestLogsWatchNegotiation(t *testing.T) {
 // -follow, logs reprints what the last notification announced, says
 // the stream ended, and exits 1 instead of hanging or degrading.
 func TestLogsFollowStreamEnd(t *testing.T) {
-	db := docstore.HandlerStore(docstore.New(), nil)
+	db := docstore.Handler(docstore.New(), nil)
 	mux := http.NewServeMux()
 	mux.Handle("/", db)
 	mux.HandleFunc("/w/", func(w http.ResponseWriter, r *http.Request) {

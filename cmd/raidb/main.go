@@ -132,10 +132,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 			return 1
 		}
 		defer pdb.Close()
-		handler = docstore.HandlerStore(pdb, nil, handlerOpts...)
+		handler = docstore.Handler(pdb, nil, handlerOpts...)
 		fmt.Fprintf(stdout, "raidb journaling to %s\n", journalPath)
 	case "memory":
-		handler = docstore.HandlerStore(docstore.New(), nil, handlerOpts...)
+		handler = docstore.Handler(docstore.New(), nil, handlerOpts...)
 	default:
 		fmt.Fprintf(stderr, "raidb: unknown -store-backend %q (want memory or disk)\n", backend)
 		return 2

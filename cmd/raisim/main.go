@@ -212,7 +212,7 @@ func listing3Email() (string, error) {
 // download matrix.
 func figure3Table() (string, error) {
 	store := objstore.New()
-	ci := release.NewCI("rai-client", "https://files.rai-project.com", ciUploader{store})
+	ci := release.NewCI("rai-client", "https://files.rai-project.com", ciUploader{context.Background(), store})
 	ci.Now = func() time.Time { return time.Date(2016, 11, 20, 6, 0, 0, 0, time.UTC) }
 	if _, err := ci.Push(release.BranchStable, "4f2a91c", "0.2.1"); err != nil {
 		return "", err
@@ -224,10 +224,15 @@ func figure3Table() (string, error) {
 		release.FormatTable(ci.Table()), nil
 }
 
-type ciUploader struct{ s *objstore.Store }
+// ciUploader adapts the store to the CI model's context-free uploader
+// port; ctx parents every upload.
+type ciUploader struct {
+	ctx context.Context
+	s   *objstore.Store
+}
 
 func (u ciUploader) Put(bucket, key string, data []byte, ttl time.Duration) error {
-	_, err := u.s.Put(bucket, key, data, ttl)
+	_, err := u.s.Put(u.ctx, bucket, key, data, ttl)
 	return err
 }
 

@@ -7,22 +7,18 @@
 //
 // The package provides:
 //
-//   - Backend: the storage-backend interface. Open returns an
-//     io.ReadCloser, Create returns a committing Writer, plus Stat,
-//     List, Remove, Touch, per-blob TTLs measured from last use, and
-//     Sweep for expiry collection.
+//   - Backend: the one storage contract. Open returns an io.ReadCloser,
+//     Create returns a committing Writer, Append extends a blob in
+//     place for journal-style writers, plus Stat, List, Remove, Touch,
+//     per-blob TTLs measured from last use, and Sweep for expiry
+//     collection. Every engine implements all of it; callers never
+//     probe for optional behaviour.
 //   - Memory and Disk backends. Memory hands out copy-on-write readers
 //     over immutable buffers (no defensive copying); Disk streams to a
 //     temp file and commits with an atomic rename, cleaning up partial
 //     writes on error.
 //   - Table: a mount table routing bucket prefixes to backends, so one
 //     daemon can keep uploads on disk and scratch buckets in memory.
-//   - Capability negotiation: each backend advertises what it can do
-//     (streaming, atomic rename commits, watch, append) and callers
-//     degrade gracefully when a capability is absent.
-//   - Watch events: subscribers observe create/update/delete events in
-//     operation order, which drives cache invalidation and `raiadmin
-//     logs -follow` without polling.
 package blobstore
 
 import (
@@ -37,55 +33,13 @@ import (
 
 // Errors reported by backends.
 var (
-	ErrNoBucket     = errors.New("blobstore: no such bucket")
-	ErrNotFound     = errors.New("blobstore: no such blob")
-	ErrBadName      = errors.New("blobstore: invalid bucket or key")
-	ErrQuota        = errors.New("blobstore: capacity exceeded")
-	ErrExists       = errors.New("blobstore: bucket already exists")
-	ErrNoCapability = errors.New("blobstore: backend lacks capability")
-	ErrClosed       = errors.New("blobstore: backend closed")
+	ErrNoBucket = errors.New("blobstore: no such bucket")
+	ErrNotFound = errors.New("blobstore: no such blob")
+	ErrBadName  = errors.New("blobstore: invalid bucket or key")
+	ErrQuota    = errors.New("blobstore: capacity exceeded")
+	ErrExists   = errors.New("blobstore: bucket already exists")
+	ErrClosed   = errors.New("blobstore: backend closed")
 )
-
-// Capability is a bitmask of optional backend behaviours. Callers check
-// capabilities before relying on an optional path and fall back when it
-// is absent (polling instead of watching, copy-rewrite instead of
-// atomic rename, whole-value writes instead of appends).
-type Capability uint32
-
-const (
-	// CapStream: Open/Create move bytes incrementally; the backend never
-	// materializes a whole blob to serve one.
-	CapStream Capability = 1 << iota
-	// CapAtomicRename: Create commits by atomically renaming a temp
-	// file, so a crashed writer never leaves a torn blob visible.
-	CapAtomicRename
-	// CapWatch: the backend delivers create/update/delete events to
-	// Watch subscribers in operation order.
-	CapWatch
-	// CapAppend: the backend supports Append for journal-style writers
-	// (see Appender).
-	CapAppend
-)
-
-// Has reports whether all bits in want are present.
-func (c Capability) Has(want Capability) bool { return c&want == want }
-
-// String renders the set for logs.
-func (c Capability) String() string {
-	var parts []string
-	for _, e := range []struct {
-		bit  Capability
-		name string
-	}{{CapStream, "stream"}, {CapAtomicRename, "atomic-rename"}, {CapWatch, "watch"}, {CapAppend, "append"}} {
-		if c.Has(e.bit) {
-			parts = append(parts, e.name)
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
 
 // Info is blob metadata. Field names (not tags) are the on-disk meta
 // JSON schema, kept compatible with the sidecar files the old objstore
@@ -123,21 +77,24 @@ type Writer interface {
 	Info() Info
 }
 
-// Backend is the storage-backend interface shared by the memory and
-// disk engines and the mount table.
+// Backend is the storage contract shared by the memory and disk
+// engines and the mount table.
 type Backend interface {
-	// Capabilities advertises the optional behaviours this backend
-	// supports.
-	Capabilities() Capability
 	// MakeBucket creates a bucket; an existing bucket is ErrExists.
 	// (Create also makes buckets implicitly, as RAI pre-creates only a
 	// handful of well-known ones.)
 	MakeBucket(ctx context.Context, bucket string) error
 	// Buckets lists bucket names, sorted.
-	Buckets(ctx context.Context) ([]string, error)
+	Buckets() []string
 	// Create opens a streaming writer for bucket/key. The blob becomes
-	// visible (and an event fires) when the writer is closed.
+	// visible when the writer is closed.
 	Create(ctx context.Context, bucket, key string, opts PutOptions) (Writer, error)
+	// Append opens a writer that extends bucket/key (creating it when
+	// missing) without rewriting it, for journal-style callers. Size and
+	// Modified update when the writer closes; ETag becomes "" (unknown)
+	// because the content was not re-hashed. Appends are quota-exempt:
+	// a journal must not lose tail writes to a full cache.
+	Append(ctx context.Context, bucket, key string) (io.WriteCloser, error)
 	// Open returns a streaming reader and the blob's metadata,
 	// refreshing its last-use time (expiry is measured from last use).
 	Open(ctx context.Context, bucket, key string) (io.ReadCloser, Info, error)
@@ -151,23 +108,11 @@ type Backend interface {
 	// Remove deletes a blob.
 	Remove(ctx context.Context, bucket, key string) error
 	// Used reports total stored bytes.
-	Used(ctx context.Context) (int64, error)
+	Used() int64
 	// Sweep collects expired blobs and reports how many were removed.
 	Sweep(ctx context.Context) (int, error)
-	// Watch subscribes to this backend's events, filtered to bucket
-	// ("" = all buckets). ErrNoCapability when CapWatch is absent. The
-	// subscription closes when ctx is canceled or Close is called.
-	Watch(ctx context.Context, bucket string) (*Subscription, error)
-	// Close releases the backend; watch subscriptions are closed.
+	// Close releases the backend.
 	Close() error
-}
-
-// Appender is the optional append port (CapAppend): journal-style
-// callers extend a blob without rewriting it. Size and Modified update
-// when the returned writer closes; ETag becomes "" (unknown) because
-// the content was not re-hashed.
-type Appender interface {
-	Append(ctx context.Context, bucket, key string) (io.WriteCloser, error)
 }
 
 // ValidBucket reports whether b is a legal bucket name: 1-63 runes of
@@ -207,11 +152,10 @@ type config struct {
 	capacity int64
 	defTTL   time.Duration
 	clk      clock.Clock
-	watchBuf int
 }
 
 func newConfig(opts []Option) config {
-	cfg := config{clk: clock.Real{}, watchBuf: defaultWatchBuffer}
+	cfg := config{clk: clock.Real{}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -227,8 +171,3 @@ func WithDefaultTTL(d time.Duration) Option { return func(c *config) { c.defTTL 
 
 // WithClock substitutes the time source (virtual in tests).
 func WithClock(clk clock.Clock) Option { return func(c *config) { c.clk = clk } }
-
-// WithWatchBuffer sets the per-subscription event buffer; a subscriber
-// that falls further behind drops events (counted on the
-// Subscription).
-func WithWatchBuffer(n int) Option { return func(c *config) { c.watchBuf = n } }

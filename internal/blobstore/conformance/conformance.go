@@ -147,7 +147,7 @@ func (s Suite) Run(t *testing.T) {
 		if _, err := be.Stat(ctx, "b", "torn"); !errors.Is(err, blobstore.ErrNotFound) {
 			t.Errorf("aborted blob visible: %v", err)
 		}
-		if used, _ := be.Used(ctx); used != 4 {
+		if used := be.Used(); used != 4 {
 			t.Errorf("Used = %d after abort, want 4", used)
 		}
 		if s.CheckClean != nil {
@@ -227,7 +227,7 @@ func (s Suite) Run(t *testing.T) {
 		if _, err := be.Stat(ctx, "b", "k"); !errors.Is(err, blobstore.ErrNotFound) {
 			t.Errorf("expired blob still visible: %v", err)
 		}
-		if used, _ := be.Used(ctx); used != 0 {
+		if used := be.Used(); used != 0 {
 			t.Errorf("Used = %d after expiry", used)
 		}
 	})
@@ -269,7 +269,7 @@ func (s Suite) Run(t *testing.T) {
 		if n, _ := be.Sweep(ctx); n != 1 {
 			t.Errorf("Sweep = %d, want 1", n)
 		}
-		if used, _ := be.Used(ctx); used != 5 {
+		if used := be.Used(); used != 5 {
 			t.Errorf("Used = %d after sweep, want 5", used)
 		}
 	})
@@ -345,9 +345,9 @@ func (s Suite) Run(t *testing.T) {
 		if err := be.MakeBucket(ctx, "b2"); !errors.Is(err, blobstore.ErrExists) {
 			t.Errorf("duplicate MakeBucket = %v, want ErrExists", err)
 		}
-		names, err := be.Buckets(ctx)
-		if err != nil || len(names) != 2 || names[0] != "b" || names[1] != "b2" {
-			t.Errorf("Buckets = %v, %v", names, err)
+		names := be.Buckets()
+		if len(names) != 2 || names[0] != "b" || names[1] != "b2" {
+			t.Errorf("Buckets = %v", names)
 		}
 	})
 
@@ -364,101 +364,11 @@ func (s Suite) Run(t *testing.T) {
 		}
 	})
 
-	t.Run("WatchDeliveryOrder", func(t *testing.T) {
-		be, _ := s.New(t)
-		defer be.Close()
-		if !be.Capabilities().Has(blobstore.CapWatch) {
-			t.Skip("backend does not watch")
-		}
-		sub, err := be.Watch(ctx, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sub.Close()
-		put(t, be, "b", "k1", []byte("v1"), 0)
-		put(t, be, "b", "k1", []byte("v2"), 0)
-		put(t, be, "b", "k2", []byte("v3"), 0)
-		_ = be.Remove(ctx, "b", "k1")
-		want := []struct {
-			op  blobstore.Op
-			key string
-		}{
-			{blobstore.OpCreate, "k1"},
-			{blobstore.OpUpdate, "k1"},
-			{blobstore.OpCreate, "k2"},
-			{blobstore.OpDelete, "k1"},
-		}
-		var lastSeq uint64
-		for i, w := range want {
-			ev := <-sub.C()
-			if ev.Op != w.op || ev.Key != w.key {
-				t.Fatalf("event %d = %s %s/%s, want %s %s", i, ev.Op, ev.Bucket, ev.Key, w.op, w.key)
-			}
-			if ev.Seq <= lastSeq {
-				t.Fatalf("event %d: seq %d not increasing past %d", i, ev.Seq, lastSeq)
-			}
-			lastSeq = ev.Seq
-		}
-		if n := sub.Dropped(); n != 0 {
-			t.Errorf("Dropped = %d", n)
-		}
-	})
-
-	t.Run("WatchBucketFilterAndCancel", func(t *testing.T) {
-		be, _ := s.New(t)
-		defer be.Close()
-		if !be.Capabilities().Has(blobstore.CapWatch) {
-			t.Skip("backend does not watch")
-		}
-		wctx, wcancel := context.WithCancel(testCtx)
-		sub, err := be.Watch(wctx, "wanted")
-		if err != nil {
-			t.Fatal(err)
-		}
-		put(t, be, "ignored", "k", []byte("v"), 0)
-		put(t, be, "wanted", "k", []byte("v"), 0)
-		ev := <-sub.C()
-		if ev.Bucket != "wanted" {
-			t.Errorf("filtered watch delivered bucket %q", ev.Bucket)
-		}
-		wcancel()
-		// Cancellation closes the channel (possibly after in-flight
-		// events drain).
-		for range sub.C() {
-		}
-	})
-
-	t.Run("WatchExpiryEmitsDelete", func(t *testing.T) {
-		be, vc := s.New(t)
-		defer be.Close()
-		if !be.Capabilities().Has(blobstore.CapWatch) {
-			t.Skip("backend does not watch")
-		}
-		sub, err := be.Watch(ctx, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sub.Close()
-		put(t, be, "b", "k", []byte("v"), time.Hour)
-		vc.Advance(2 * time.Hour)
-		_, _ = be.Sweep(ctx)
-		if ev := <-sub.C(); ev.Op != blobstore.OpCreate {
-			t.Fatalf("first event %s", ev.Op)
-		}
-		if ev := <-sub.C(); ev.Op != blobstore.OpDelete || ev.Key != "k" {
-			t.Errorf("sweep event = %s %s", ev.Op, ev.Key)
-		}
-	})
-
 	t.Run("AppendExtends", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
-		app, ok := be.(blobstore.Appender)
-		if !ok || !be.Capabilities().Has(blobstore.CapAppend) {
-			t.Skip("backend does not append")
-		}
 		put(t, be, "b", "journal", []byte("line1\n"), 0)
-		w, err := app.Append(ctx, "b", "journal")
+		w, err := be.Append(ctx, "b", "journal")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +384,7 @@ func (s Suite) Run(t *testing.T) {
 			t.Errorf("append Stat = %+v, want size 12 and unknown ETag", st)
 		}
 		// Append to a missing key creates it.
-		w2, err := app.Append(ctx, "b", "fresh")
+		w2, err := be.Append(ctx, "b", "fresh")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -604,7 +514,7 @@ func (s Suite) Run(t *testing.T) {
 		if len(infos) != 100 {
 			t.Errorf("surviving blobs = %d, want 100", len(infos))
 		}
-		if used, _ := be.Used(testCtx); used != total {
+		if used := be.Used(); used != total {
 			t.Errorf("Used = %d, sum of listed sizes = %d", used, total)
 		}
 	})
@@ -658,7 +568,7 @@ func (s Suite) Run(t *testing.T) {
 		if st.Size != 10+99%7 {
 			t.Errorf("final Size = %d, want the last overwrite's %d", st.Size, 10+99%7)
 		}
-		if used, _ := be.Used(testCtx); used != st.Size {
+		if used := be.Used(); used != st.Size {
 			t.Errorf("Used = %d, want %d (single blob)", used, st.Size)
 		}
 	})

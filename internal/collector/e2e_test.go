@@ -150,17 +150,24 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	for _, exp := range exporters {
 		exp.Flush()
 	}
+	// Collector.Persist writes a batch's spans before its events, so both
+	// are polled for inside one deadline.
 	required := []string{"job", "upload", "enqueue", "dequeue", "download", "build", "run"}
+	wantEvents := []string{"rai: job submitted", "raiworker: job dequeued", "raiworker: job finished"}
 	var spans []collector.Span
+	var msgs map[string]bool
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		spans, err = collector.TraceByJob(db, res.JobID)
-		if have := spanNames(spans); err == nil && containsAll(have, required) &&
-			hasServicePrefix(spans, "raifs", "objstore") && hasServicePrefix(spans, "raidb", "docstore") {
+		spansDone := err == nil && containsAll(spanNames(spans), required) &&
+			hasServicePrefix(spans, "raifs", "objstore") && hasServicePrefix(spans, "raidb", "docstore")
+		var evErr error
+		msgs, evErr = eventMessages(db, res.JobID)
+		if spansDone && evErr == nil && hasAllKeys(msgs, wantEvents) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace incomplete after flush: err=%v spans=%v", err, spanNames(spans))
+			t.Fatalf("trace incomplete after flush: err=%v events err=%v spans=%v events=%v", err, evErr, spanNames(spans), msgs)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -187,15 +194,7 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	}
 
 	// The job's merged event stream crossed services.
-	events, err := collector.EventsByJob(db, res.JobID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := map[string]bool{}
-	for _, e := range events {
-		msgs[e.Service+": "+e.Msg] = true
-	}
-	for _, want := range []string{"rai: job submitted", "raiworker: job dequeued", "raiworker: job finished"} {
+	for _, want := range wantEvents {
 		if !msgs[want] {
 			t.Errorf("event stream missing %q (have %v)", want, msgs)
 		}
@@ -214,6 +213,29 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("collector did not stop")
 	}
+}
+
+// eventMessages returns the job's merged event stream as a set of
+// "service: msg" strings.
+func eventMessages(db docstore.Store, jobID string) (map[string]bool, error) {
+	events, err := collector.EventsByJob(db, jobID, 0)
+	if err != nil {
+		return nil, err
+	}
+	msgs := map[string]bool{}
+	for _, e := range events {
+		msgs[e.Service+": "+e.Msg] = true
+	}
+	return msgs, nil
+}
+
+func hasAllKeys(set map[string]bool, want []string) bool {
+	for _, k := range want {
+		if !set[k] {
+			return false
+		}
+	}
+	return true
 }
 
 func spanNames(spans []collector.Span) []string {

@@ -100,38 +100,22 @@ func max64(a, b int64) int64 {
 }
 
 // MissingChunks implements Objects against the in-process engine,
-// mirroring the server handler: present chunks get their TTL refreshed.
+// through the same negotiation the server's /cas/negotiate runs.
 func (o LocalObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	missing := []string{}
-	for _, h := range m.ChunkSet() {
-		key := cas.ChunkKey(h)
-		if _, err := o.S.Head(cas.Bucket, key); err == nil {
-			_ = o.S.Touch(cas.Bucket, key)
-			continue
-		}
-		missing = append(missing, h)
-	}
-	return missing, nil
+	return o.S.MissingChunks(ctx, m)
 }
 
-// PutChunks implements Objects against the in-process engine.
+// PutChunks implements Objects against the in-process engine; each
+// chunk is verified against its hash before it is stored, as the
+// server's /cas/chunks does.
 func (o LocalObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
 	var total int64
 	for _, h := range hashes {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
 		data, err := src.Chunk(h)
 		if err != nil {
 			return total, err
 		}
-		if cas.HashHex(data) != h {
-			return total, fmt.Errorf("core: chunk %s payload hashes differently", h)
-		}
-		if _, err := o.S.Put(cas.Bucket, cas.ChunkKey(h), data, 0); err != nil {
+		if err := o.S.PutChunk(ctx, h, data); err != nil {
 			return total, err
 		}
 		total += int64(len(data))

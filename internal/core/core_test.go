@@ -469,7 +469,7 @@ func TestClientUploadTTLApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := e.objects.(LocalObjects).S
-	infos, err := store.List(BucketUploads, "team-ttl/")
+	infos, err := store.List(context.Background(), BucketUploads, "team-ttl/")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("uploads = %v, %v", infos, err)
 	}

@@ -228,25 +228,18 @@ type Objects interface {
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
 }
 
-// LocalObjects adapts the in-process engine to Objects. ctx only gates
-// entry — the engine is in-memory.
+// LocalObjects adapts the in-process engine to Objects.
 type LocalObjects struct{ S *objstore.Store }
 
 // Put implements Objects.
 func (o LocalObjects) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, err := o.S.Put(bucket, key, data, ttl)
+	_, err := o.S.Put(ctx, bucket, key, data, ttl)
 	return err
 }
 
 // Get implements Objects.
 func (o LocalObjects) Get(ctx context.Context, bucket, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	data, _, err := o.S.Get(bucket, key)
+	data, _, err := o.S.Get(ctx, bucket, key)
 	return data, err
 }
 
@@ -267,18 +260,12 @@ func (o LocalObjects) GetReader(ctx context.Context, bucket, key string) (io.Rea
 
 // List implements Objects.
 func (o LocalObjects) List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return o.S.List(bucket, prefix)
+	return o.S.List(ctx, bucket, prefix)
 }
 
 // Delete implements Objects.
 func (o LocalObjects) Delete(ctx context.Context, bucket, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return o.S.Delete(bucket, key)
+	return o.S.Delete(ctx, bucket, key)
 }
 
 var _ Objects = (*objstore.Client)(nil)

@@ -136,6 +136,12 @@ func (db *DB) Insert(collName string, doc any) (string, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.insertLocked(collName, d)
+}
+
+// insertLocked stores the normalized document d (kept, not copied),
+// generating its _id when absent. db.mu must be held.
+func (db *DB) insertLocked(collName string, d M) (string, error) {
 	c, err := db.coll(collName)
 	if err != nil {
 		return "", err
@@ -243,15 +249,21 @@ func (db *DB) Count(collName string, filter M) (int, error) {
 func (db *DB) Update(collName string, filter M, update M) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	n, _, err := db.updateLocked(collName, filter, update)
+	return n, err
+}
+
+// updateLocked is Update with db.mu held; it also reports the _id of the
+// first document it changed.
+func (db *DB) updateLocked(collName string, filter M, update M) (n int, first string, err error) {
 	c, err := db.coll(collName)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	nupd, err := normalize(update)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+		return 0, "", fmt.Errorf("%w: %v", ErrBadUpdate, err)
 	}
-	n := 0
 	for _, id := range c.order {
 		doc, ok := c.docs[id]
 		if !ok {
@@ -259,38 +271,46 @@ func (db *DB) Update(collName string, filter M, update M) (int, error) {
 		}
 		match, err := matches(doc, filter)
 		if err != nil {
-			return n, err
+			return n, first, err
 		}
 		if !match {
 			continue
 		}
 		if err := applyUpdate(doc, nupd); err != nil {
-			return n, err
+			return n, first, err
+		}
+		if n == 0 {
+			first = id
 		}
 		n++
 		db.emit("update", collName, id)
 	}
-	return n, nil
+	return n, first, nil
 }
 
-// Upsert updates the first match, or inserts update's $set fields merged
-// with the filter's equality fields when nothing matches. It returns the
-// document id. This is the write the ranking database uses ("overwrites
-// existing timing records", paper §V).
+// Upsert updates every match and returns the first one's id, or inserts
+// update's $set and $inc fields merged with the filter's equality
+// fields when nothing matches. The whole operation is one critical
+// section, so concurrent upserts of one key leave exactly one document.
+// This is the write the ranking database uses ("overwrites existing
+// timing records", paper §V).
 func (db *DB) Upsert(collName string, filter M, update M) (string, error) {
-	n, err := db.Update(collName, filter, update)
+	return db.upsert(collName, filter, update, "")
+}
+
+// upsert is Upsert with the _id an insert should take ("" generates
+// one); journal replay passes the recorded id so the document comes
+// back under the id it was first given.
+func (db *DB) upsert(collName string, filter, update M, id string) (string, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n, first, err := db.updateLocked(collName, filter, update)
 	if err != nil {
 		return "", err
 	}
 	if n > 0 {
-		doc, err := db.FindOne(collName, filter)
-		if err != nil {
-			return "", err
-		}
-		id, _ := doc["_id"].(string)
-		return id, nil
+		return first, nil
 	}
-	// Build the new document: filter equality fields + $set fields.
 	seed := M{}
 	for k, v := range filter {
 		if !strings.HasPrefix(k, "$") && !strings.Contains(k, ".") {
@@ -299,21 +319,21 @@ func (db *DB) Upsert(collName string, filter M, update M) (string, error) {
 			}
 		}
 	}
-	if set, ok := update["$set"].(map[string]any); ok {
-		for k, v := range set {
-			seed[k] = v
-		}
-	} else if set, ok := update["$set"].(M); ok {
-		for k, v := range set {
-			seed[k] = v
+	for _, op := range []string{"$set", "$inc"} {
+		if fields, ok := update[op].(map[string]any); ok {
+			for k, v := range fields {
+				seed[k] = v
+			}
 		}
 	}
-	if inc, ok := update["$inc"].(map[string]any); ok {
-		for k, v := range inc {
-			seed[k] = v
-		}
+	if id != "" {
+		seed["_id"] = id
 	}
-	return db.Insert(collName, seed)
+	d, err := normalize(seed)
+	if err != nil {
+		return "", err
+	}
+	return db.insertLocked(collName, d)
 }
 
 // Delete removes matching documents and reports how many.

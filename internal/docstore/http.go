@@ -113,14 +113,8 @@ func (h *handlerState) observe(verb string, start time.Time) {
 	h.latency[verb].Observe(h.clk.Now().Sub(start).Seconds())
 }
 
-// Handler serves an in-memory DB over HTTP.
-func Handler(db *DB, auth AuthFunc, opts ...HandlerOption) http.Handler {
-	return HandlerStore(db, auth, opts...)
-}
-
-// HandlerStore serves any Store implementation (in-memory or
-// journal-backed) over HTTP.
-func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
+// Handler serves a database (in-memory or journal-backed) over HTTP.
+func Handler(db WatchStore, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	h := &handlerState{clk: clock.Real{}}
 	for _, o := range opts {
 		o(h)
@@ -132,14 +126,9 @@ func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	if h.reg != nil {
 		mux.Handle("/metrics", h.reg.Handler())
 	}
-	watcher, canWatch := db.(Watcher)
 	mux.HandleFunc("/w/", func(w http.ResponseWriter, r *http.Request) {
 		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
 			writeJSON(w, http.StatusForbidden, rpcResponse{Error: "forbidden"})
-			return
-		}
-		if !canWatch {
-			writeJSON(w, http.StatusNotImplemented, rpcResponse{Error: "watch unsupported"})
 			return
 		}
 		fl, ok := w.(http.Flusher)
@@ -148,7 +137,7 @@ func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			return
 		}
 		coll := strings.TrimPrefix(r.URL.Path, "/w/")
-		sub := watcher.Watch(r.Context(), coll)
+		sub := db.Watch(r.Context(), coll)
 		defer sub.Close()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)

@@ -19,7 +19,7 @@ import (
 // JSON line; opening a journal replays it into a fresh DB.
 //
 // The journal is a blob in a blobstore.Backend (bucket/key), written
-// through the backend's append capability and rewritten via an atomic
+// through the backend's Append and rewritten via an atomic
 // Create at compaction. Running on the disk backend this inherits its
 // crash story: a torn compaction never replaces the journal (temp file
 // + rename), and a crash mid-append is reconciled from the file size at
@@ -45,11 +45,13 @@ type journalEntry struct {
 }
 
 // PersistentDB is a DB whose mutations are journaled to a blob backend.
+// Each mutation is applied and appended under mu, so the journal
+// records writes in the order they were applied and a reopened
+// database replays to the state the live one had.
 type PersistentDB struct {
 	*DB
 	mu     sync.Mutex
 	be     blobstore.Backend
-	app    blobstore.Appender
 	bucket string
 	key    string
 	w      io.WriteCloser // open append writer; nil once closed
@@ -86,15 +88,10 @@ func OpenPersistent(path string) (*PersistentDB, error) {
 
 // OpenPersistentBackend opens a journal-backed database over an
 // existing backend (or mount table), replaying the blob at bucket/key
-// if present. The backend must support appends; the caller keeps
-// ownership of it (Close leaves it open). The journal blob should live
-// on a backend without a default TTL — an expiring journal is data
-// loss.
+// if present. The caller keeps ownership of the backend (Close leaves
+// it open). The journal blob should live on a backend without a
+// default TTL — an expiring journal is data loss.
 func OpenPersistentBackend(be blobstore.Backend, bucket, key string) (*PersistentDB, error) {
-	app, ok := be.(blobstore.Appender)
-	if !ok || !be.Capabilities().Has(blobstore.CapAppend) {
-		return nil, fmt.Errorf("docstore: journal backend: %w: append", blobstore.ErrNoCapability)
-	}
 	db := New()
 	var size int64
 	rc, info, err := be.Open(storeCtx, bucket, key)
@@ -111,18 +108,15 @@ func OpenPersistentBackend(be blobstore.Backend, bucket, key string) (*Persisten
 	default:
 		return nil, err
 	}
-	w, err := app.Append(storeCtx, bucket, key)
+	w, err := be.Append(storeCtx, bucket, key)
 	if err != nil {
 		return nil, err
 	}
 	return &PersistentDB{
-		DB: db, be: be, app: app, bucket: bucket, key: key,
+		DB: db, be: be, bucket: bucket, key: key,
 		w: w, bw: bufio.NewWriter(w), size: size,
 	}, nil
 }
-
-// Backend exposes the journal's backend (for capability negotiation).
-func (p *PersistentDB) Backend() blobstore.Backend { return p.be }
 
 // JournalSize reports the journal's current size in bytes.
 func (p *PersistentDB) JournalSize() int64 {
@@ -166,38 +160,7 @@ func apply(db *DB, e *journalEntry) error {
 		_, err := db.Update(e.Coll, e.Filter, e.Update)
 		return err
 	case "upsert":
-		// Replay exactly: if the id is recorded and absent, pin it.
-		if e.ID != "" {
-			if _, err := db.FindOne(e.Coll, M{"_id": e.ID}); err != nil {
-				// Will insert: reproduce the original id through the
-				// normal upsert path, then fix the id if it differs.
-				id, err := db.Upsert(e.Coll, e.Filter, e.Update)
-				if err != nil {
-					return err
-				}
-				if id != e.ID {
-					if _, err := db.Update(e.Coll, M{"_id": id}, M{"$set": M{"_replayed_from": id}}); err != nil {
-						return err
-					}
-					// Rewrite the id by delete+insert.
-					docs, err := db.Find(e.Coll, M{"_id": id}, FindOpts{})
-					if err != nil || len(docs) != 1 {
-						return fmt.Errorf("docstore: replay id fixup failed")
-					}
-					doc := docs[0]
-					doc["_id"] = e.ID
-					delete(doc, "_replayed_from")
-					if _, err := db.Delete(e.Coll, M{"_id": id}); err != nil {
-						return err
-					}
-					if _, err := db.Insert(e.Coll, doc); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		}
-		_, err := db.Upsert(e.Coll, e.Filter, e.Update)
+		_, err := db.upsert(e.Coll, e.Filter, e.Update, e.ID)
 		return err
 	case "delete":
 		_, err := db.Delete(e.Coll, e.Filter)
@@ -210,17 +173,28 @@ func apply(db *DB, e *journalEntry) error {
 	}
 }
 
-// log writes one entry and flushes it through to the backend (on disk,
-// straight to the O_APPEND file).
-func (p *PersistentDB) log(e *journalEntry) error {
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
+// errJournalClosed rejects writes after Close (and after a failed
+// Compact left no append writer).
+var errJournalClosed = errors.New("docstore: journal closed")
+
+// journaled runs one mutation and appends the entry it returns (nil:
+// nothing changed, nothing to log) in a single critical section under
+// p.mu, then flushes it through to the backend (on disk, straight to
+// the O_APPEND file). A closed journal rejects a write before applying
+// it.
+func (p *PersistentDB) journaled(mutate func() (*journalEntry, error)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.w == nil {
-		return fmt.Errorf("docstore: journal closed")
+		return errJournalClosed
+	}
+	e, err := mutate()
+	if err != nil || e == nil {
+		return err
+	}
+	raw, err := json.Marshal(e)
+	if err != nil {
+		return err
 	}
 	if _, err := p.bw.Write(append(raw, '\n')); err != nil {
 		return err
@@ -233,62 +207,57 @@ func (p *PersistentDB) log(e *journalEntry) error {
 }
 
 // Insert journals and applies an insert.
-func (p *PersistentDB) Insert(coll string, doc any) (string, error) {
-	id, err := p.DB.Insert(coll, doc)
-	if err != nil {
-		return "", err
-	}
-	d, _ := normalize(doc)
-	if err := p.log(&journalEntry{Op: "insert", Coll: coll, Doc: d, ID: id}); err != nil {
-		return id, err
-	}
-	return id, nil
+func (p *PersistentDB) Insert(coll string, doc any) (id string, err error) {
+	err = p.journaled(func() (*journalEntry, error) {
+		if id, err = p.DB.Insert(coll, doc); err != nil {
+			return nil, err
+		}
+		d, _ := normalize(doc)
+		return &journalEntry{Op: "insert", Coll: coll, Doc: d, ID: id}, nil
+	})
+	return id, err
 }
 
 // Update journals and applies an update.
-func (p *PersistentDB) Update(coll string, filter, update M) (int, error) {
-	n, err := p.DB.Update(coll, filter, update)
-	if err != nil {
-		return n, err
-	}
-	if n > 0 {
-		if err := p.log(&journalEntry{Op: "update", Coll: coll, Filter: filter, Update: update}); err != nil {
-			return n, err
+func (p *PersistentDB) Update(coll string, filter, update M) (n int, err error) {
+	err = p.journaled(func() (*journalEntry, error) {
+		if n, err = p.DB.Update(coll, filter, update); err != nil || n == 0 {
+			return nil, err
 		}
-	}
-	return n, nil
+		return &journalEntry{Op: "update", Coll: coll, Filter: filter, Update: update}, nil
+	})
+	return n, err
 }
 
-// Upsert journals and applies an upsert.
-func (p *PersistentDB) Upsert(coll string, filter, update M) (string, error) {
-	id, err := p.DB.Upsert(coll, filter, update)
-	if err != nil {
-		return id, err
-	}
-	if err := p.log(&journalEntry{Op: "upsert", Coll: coll, Filter: filter, Update: update, ID: id}); err != nil {
-		return id, err
-	}
-	return id, nil
+// Upsert journals and applies an upsert, recording the document id so
+// replay reproduces it.
+func (p *PersistentDB) Upsert(coll string, filter, update M) (id string, err error) {
+	err = p.journaled(func() (*journalEntry, error) {
+		if id, err = p.DB.Upsert(coll, filter, update); err != nil {
+			return nil, err
+		}
+		return &journalEntry{Op: "upsert", Coll: coll, Filter: filter, Update: update, ID: id}, nil
+	})
+	return id, err
 }
 
 // Delete journals and applies a delete.
-func (p *PersistentDB) Delete(coll string, filter M) (int, error) {
-	n, err := p.DB.Delete(coll, filter)
-	if err != nil {
-		return n, err
-	}
-	if n > 0 {
-		if err := p.log(&journalEntry{Op: "delete", Coll: coll, Filter: filter}); err != nil {
-			return n, err
+func (p *PersistentDB) Delete(coll string, filter M) (n int, err error) {
+	err = p.journaled(func() (*journalEntry, error) {
+		if n, err = p.DB.Delete(coll, filter); err != nil || n == 0 {
+			return nil, err
 		}
-	}
-	return n, nil
+		return &journalEntry{Op: "delete", Coll: coll, Filter: filter}, nil
+	})
+	return n, err
 }
 
 // Drop journals and applies a collection drop.
 func (p *PersistentDB) Drop(coll string) error {
-	p.DB.Drop(coll)
-	return p.log(&journalEntry{Op: "drop", Coll: coll})
+	return p.journaled(func() (*journalEntry, error) {
+		p.DB.Drop(coll)
+		return &journalEntry{Op: "drop", Coll: coll}, nil
+	})
 }
 
 // Close flushes and closes the journal (committing its size to the
@@ -323,7 +292,7 @@ func (p *PersistentDB) Compact() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.w == nil {
-		return fmt.Errorf("docstore: journal closed")
+		return errJournalClosed
 	}
 	// Stop appending before the rewrite: the Create commit replaces the
 	// blob underneath an open O_APPEND descriptor otherwise.
@@ -369,7 +338,7 @@ func (p *PersistentDB) Compact() error {
 		return err
 	}
 	// Resume appending onto the compacted blob.
-	app, err := p.app.Append(storeCtx, p.bucket, p.key)
+	app, err := p.be.Append(storeCtx, p.bucket, p.key)
 	if err != nil {
 		return err
 	}

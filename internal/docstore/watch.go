@@ -7,10 +7,9 @@ import (
 
 // Watch support: mutations emit events so followers (raiadmin logs
 // -follow, dashboards) can wake on change instead of polling. Delivery
-// mirrors internal/blobstore's watch hub: per-subscriber buffered
-// channels, non-blocking sends (a slow subscriber drops events and
-// counts them rather than stalling writers), events ordered by a
-// database-wide sequence number.
+// uses per-subscriber buffered channels and non-blocking sends (a slow
+// subscriber drops events and counts them rather than stalling
+// writers); events are ordered by a database-wide sequence number.
 
 // watchBuffer is the per-subscription channel depth.
 const watchBuffer = 256
@@ -99,14 +98,15 @@ func (db *DB) emit(op, coll, id string) {
 	}
 }
 
-// Watcher is the store interface the HTTP layer's /w/ stream serves:
-// DB and PersistentDB implement it; remote Clients expose WatchContext
-// instead.
-type Watcher interface {
+// WatchStore is a Store whose mutations can be watched — DB and
+// PersistentDB. It is what the HTTP layer serves, /w/ stream included;
+// remote Clients expose WatchContext instead.
+type WatchStore interface {
+	Store
 	Watch(ctx context.Context, coll string) *WatchSub
 }
 
 var (
-	_ Watcher = (*DB)(nil)
-	_ Watcher = (*PersistentDB)(nil)
+	_ WatchStore = (*DB)(nil)
+	_ WatchStore = (*PersistentDB)(nil)
 )

@@ -176,7 +176,4 @@ func TestJournalOnSharedBackend(t *testing.T) {
 	if again.JournalSize() == 0 {
 		t.Error("journal size not recovered from backend")
 	}
-	if again.Backend() != table {
-		t.Error("Backend() identity lost")
-	}
 }

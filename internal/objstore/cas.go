@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,6 +50,40 @@ func casOp(r *http.Request) string {
 	return "cas-chunks"
 }
 
+// ErrChunkMismatch reports a chunk whose payload does not hash to the
+// name it was sent under.
+var ErrChunkMismatch = errors.New("objstore: chunk payload hashes differently")
+
+// MissingChunks returns the manifest's chunks the store lacks. Each
+// present chunk is found by one Touch, which refreshes its last-use in
+// the same step: a chunk shared across submissions outlives the TTL
+// clock of its first upload, and a chunk reported present cannot expire
+// between the lookup and the refresh.
+func (s *Store) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
+	missing := []string{}
+	for _, hash := range m.ChunkSet() {
+		err := s.Touch(ctx, cas.Bucket, cas.ChunkKey(hash))
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrNoObject), errors.Is(err, ErrNoBucket):
+			missing = append(missing, hash)
+		default:
+			return nil, err
+		}
+	}
+	return missing, nil
+}
+
+// PutChunk stores one chunk under its hash after verifying the payload
+// against it, so an unverified chunk never becomes addressable.
+func (s *Store) PutChunk(ctx context.Context, hash string, data []byte) error {
+	if cas.HashHex(data) != hash {
+		return fmt.Errorf("%w: %s", ErrChunkMismatch, hash)
+	}
+	_, err := s.Put(ctx, cas.Bucket, cas.ChunkKey(hash), data, 0)
+	return err
+}
+
 // handleCASNegotiate answers a manifest with the chunk hashes the store
 // is missing, refreshing the TTL of every chunk it already holds.
 func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *http.Request) {
@@ -66,28 +101,29 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sizes := make(map[string]int64)
+	missing, err := s.MissingChunks(r.Context(), m)
+	if err != nil {
+		writeStoreErr(w, err)
+		return
+	}
+	present := make(map[string]int64)
 	for _, f := range m.Files {
 		for _, c := range f.Chunks {
-			sizes[c.Hash] = c.Size
+			present[c.Hash] = c.Size
 		}
 	}
-	resp := casNegotiateResponse{Missing: []string{}}
-	for _, hash := range m.ChunkSet() {
-		key := cas.ChunkKey(hash)
-		if _, err := s.Head(cas.Bucket, key); err == nil {
-			// Refresh last-use so a chunk shared across submissions
-			// outlives the TTL clock of its first upload.
-			_ = s.Touch(cas.Bucket, key)
-			h.casHits.Inc()
-			h.casSavedBytes.Add(float64(sizes[hash]))
-			continue
-		}
-		h.casMisses.Inc()
-		resp.Missing = append(resp.Missing, hash)
+	for _, hash := range missing {
+		delete(present, hash)
 	}
+	var saved int64
+	for _, size := range present {
+		saved += size
+	}
+	h.casHits.Add(float64(len(present)))
+	h.casMisses.Add(float64(len(missing)))
+	h.casSavedBytes.Add(float64(saved))
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(w).Encode(casNegotiateResponse{Missing: missing})
 }
 
 // handleCASChunks ingests a framed chunk stream, verifying each payload
@@ -115,11 +151,7 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 			http.Error(w, "short chunk payload: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if cas.HashHex(buf) != hash {
-			http.Error(w, "chunk "+hash+" payload hashes differently", http.StatusBadRequest)
-			return
-		}
-		if _, err := s.Put(cas.Bucket, cas.ChunkKey(hash), buf, 0); err != nil {
+		if err := s.PutChunk(r.Context(), hash, buf); err != nil {
 			writeStoreErr(w, err)
 			return
 		}

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,8 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"rai/internal/cas"
+	"rai/internal/clock"
 )
 
 func buildTestTree(t *testing.T, files map[string]string) (*cas.Manifest, cas.Source) {
@@ -177,5 +180,43 @@ func TestCASAuthGated(t *testing.T) {
 		if resp.StatusCode != http.StatusForbidden {
 			t.Errorf("%s answered %d without credentials, want 403", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestMissingChunksTouchesPresent pins the engine half of the
+// negotiation both the /cas/ handler and core.LocalObjects call: a
+// present chunk's last-use is refreshed by the lookup itself, so it
+// outlives the TTL clock of its upload, and PutChunk refuses a payload
+// that does not hash to its name.
+func TestMissingChunksTouchesPresent(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	s := New(WithClock(vc), WithDefaultTTL(time.Hour))
+	m, src := buildTestTree(t, map[string]string{"a.txt": "alpha", "b.txt": "bravo"})
+	hashes := m.ChunkSet()
+	if len(hashes) != 2 {
+		t.Fatalf("chunks = %v", hashes)
+	}
+	data, err := src.Chunk(hashes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutChunk(bg, hashes[0], data); err != nil {
+		t.Fatal(err)
+	}
+	vc.Advance(50 * time.Minute)
+	missing, err := s.MissingChunks(bg, m)
+	if err != nil || len(missing) != 1 || missing[0] != hashes[1] {
+		t.Fatalf("missing = %v, %v; want [%s]", missing, err, hashes[1])
+	}
+	// 100 minutes after the upload but 50 after negotiation: still live.
+	vc.Advance(50 * time.Minute)
+	if _, err := s.Head(bg, cas.Bucket, cas.ChunkKey(hashes[0])); err != nil {
+		t.Fatalf("negotiated chunk expired: %v", err)
+	}
+	if err := s.PutChunk(bg, hashes[1], data); !errors.Is(err, ErrChunkMismatch) {
+		t.Errorf("PutChunk with a foreign payload = %v, want ErrChunkMismatch", err)
+	}
+	if _, err := s.Head(bg, cas.Bucket, cas.ChunkKey(hashes[1])); !errors.Is(err, ErrNoObject) {
+		t.Errorf("mismatched chunk became addressable: %v", err)
 	}
 }

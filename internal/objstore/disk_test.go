@@ -18,7 +18,7 @@ func TestDiskPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("archive"), 100)
-	info, err := s.Put("rai-uploads", "team1/j1/project.tar.bz2", payload, time.Hour)
+	info, err := s.Put(bg, "rai-uploads", "team1/j1/project.tar.bz2", payload, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestDiskPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, info2, err := s2.Get("rai-uploads", "team1/j1/project.tar.bz2")
+	data, info2, err := s2.Get(bg, "rai-uploads", "team1/j1/project.tar.bz2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +48,15 @@ func TestDiskDeleteRemovesFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("b", "nested/key.bin", []byte("x"), 0)
-	if err := s.Delete("b", "nested/key.bin"); err != nil {
+	s.Put(bg, "b", "nested/key.bin", []byte("x"), 0)
+	if err := s.Delete(bg, "b", "nested/key.bin"); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s2.Get("b", "nested/key.bin"); !errors.Is(err, ErrNoObject) {
+	if _, _, err := s2.Get(bg, "b", "nested/key.bin"); !errors.Is(err, ErrNoObject) {
 		t.Fatalf("deleted object resurrected: %v", err)
 	}
 	// No stray files remain.
@@ -73,20 +73,20 @@ func TestDiskSweepRemovesExpiredFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put("b", "short", []byte("1"), time.Hour)
-	s.Put("b", "long", []byte("2"), 100*time.Hour)
+	s.Put(bg, "b", "short", []byte("1"), time.Hour)
+	s.Put(bg, "b", "long", []byte("2"), 100*time.Hour)
 	vc.Advance(2 * time.Hour)
-	if n := s.Sweep(); n != 1 {
+	if n, _ := s.Sweep(bg); n != 1 {
 		t.Fatalf("swept %d", n)
 	}
 	s2, err := Open(dir, WithClock(vc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s2.Get("b", "short"); !errors.Is(err, ErrNoObject) {
+	if _, _, err := s2.Get(bg, "b", "short"); !errors.Is(err, ErrNoObject) {
 		t.Error("expired object persisted")
 	}
-	if _, _, err := s2.Get("b", "long"); err != nil {
+	if _, _, err := s2.Get(bg, "b", "long"); err != nil {
 		t.Errorf("live object lost: %v", err)
 	}
 }
@@ -99,14 +99,14 @@ func TestDiskKeyEscaping(t *testing.T) {
 	}
 	// Keys with slashes and percent signs round-trip.
 	key := "team%1/sub/dir/file%2F.tar.bz2"
-	if _, err := s.Put("b", key, []byte("v"), 0); err != nil {
+	if _, err := s.Put(bg, "b", key, []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos, err := s2.List("b", "")
+	infos, err := s2.List(bg, "b", "")
 	if err != nil || len(infos) != 1 || infos[0].Key != key {
 		t.Fatalf("list after restart = %+v, %v", infos, err)
 	}
@@ -139,7 +139,7 @@ func TestOpenFreshDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("b", "k", []byte("x"), 0); err != nil {
+	if _, err := s.Put(bg, "b", "k", []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "b")); err != nil {
@@ -149,9 +149,9 @@ func TestOpenFreshDirectory(t *testing.T) {
 
 func TestNewStaysInMemory(t *testing.T) {
 	s := New()
-	s.Put("b", "k", []byte("x"), 0)
+	s.Put(bg, "b", "k", []byte("x"), 0)
 	// Nothing written anywhere; just exercise the nil-diskDir paths.
-	if err := s.Delete("b", "k"); err != nil {
+	if err := s.Delete(bg, "b", "k"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -110,7 +110,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			n, _ := io.Copy(w, rc)
 			h.streamOut.Add(float64(n))
 		case http.MethodHead:
-			info, err := s.Head(bucket, key)
+			info, err := s.Head(r.Context(), bucket, key)
 			if err != nil {
 				writeStoreErr(w, err)
 				return
@@ -119,7 +119,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
 			w.WriteHeader(http.StatusOK)
 		case http.MethodDelete:
-			if err := s.Delete(bucket, key); err != nil {
+			if err := s.Delete(r.Context(), bucket, key); err != nil {
 				writeStoreErr(w, err)
 				return
 			}
@@ -142,7 +142,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			http.Error(w, "want /l/{bucket}", http.StatusBadRequest)
 			return
 		}
-		infos, err := s.List(bucket, r.URL.Query().Get("prefix"))
+		infos, err := s.List(r.Context(), bucket, r.URL.Query().Get("prefix"))
 		if err != nil {
 			writeStoreErr(w, err)
 			return
@@ -319,7 +319,7 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNoBucket), errors.Is(err, ErrNoObject):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrBadName):
+	case errors.Is(err, ErrBadName), errors.Is(err, ErrChunkMismatch):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, ErrQuota):
 		http.Error(w, err.Error(), http.StatusInsufficientStorage)

@@ -12,10 +12,11 @@
 // code path works embedded in simulations and as a standalone daemon.
 // Archives stream through — PutReader/GetReader on both Store and
 // Client move bytes without materializing them, and the []byte
-// Put/Get remain as thin adapters for small objects and older callers.
+// Put/Get remain as thin adapters for small objects.
 package objstore
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"time"
@@ -38,9 +39,8 @@ var (
 // the name this package always used).
 type ObjectInfo = blobstore.Info
 
-// Store is the object-store engine: a thin, context-free facade over a
-// blobstore.Backend, preserved because simulations and the HTTP
-// handler drive it synchronously.
+// Store is the object-store engine: a thin facade over a
+// blobstore.Backend. Every call runs under the caller's context.
 type Store struct {
 	be blobstore.Backend
 }
@@ -93,47 +93,25 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // routing bucket prefixes to different engines).
 func NewWithBackend(be blobstore.Backend) *Store { return &Store{be: be} }
 
-// Backend exposes the underlying engine for watch subscriptions.
-func (s *Store) Backend() blobstore.Backend { return s.be }
-
-// Close releases the backend (ends watch subscriptions).
+// Close releases the backend.
 func (s *Store) Close() error { return s.be.Close() }
 
-// The Store API is deliberately context-free — simulations and tests
-// drive it synchronously — so this is the one sanctioned root context
-// for the backend calls underneath it. Context-aware callers use
-// PutReader/GetReader/Watch, which take the caller's context.
-//
-//lint:ignore ctxbg the context-free Store facade needs a root context; ctx-aware callers use the *Reader/Watch methods
-var storeCtx = context.Background()
-
 // CreateBucket makes a bucket; creating an existing bucket is an error.
-func (s *Store) CreateBucket(bucket string) error {
-	return s.be.MakeBucket(storeCtx, bucket)
+func (s *Store) CreateBucket(ctx context.Context, bucket string) error {
+	return s.be.MakeBucket(ctx, bucket)
 }
 
-// Put stores data at bucket/key (creating the bucket implicitly, as the
-// RAI deployment pre-creates only a handful of well-known buckets). A
-// zero ttl adopts the store default. Thin adapter over PutReader for
+// Put stores data at bucket/key. Thin adapter over PutReader for
 // callers holding small objects in memory.
-func (s *Store) Put(bucket, key string, data []byte, ttl time.Duration) (ObjectInfo, error) {
-	w, err := s.be.Create(storeCtx, bucket, key, blobstore.PutOptions{TTL: ttl})
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	if _, err := w.Write(data); err != nil {
-		w.Abort()
-		return ObjectInfo{}, err
-	}
-	if err := w.Close(); err != nil {
-		return ObjectInfo{}, err
-	}
-	return w.Info(), nil
+func (s *Store) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) (ObjectInfo, error) {
+	return s.PutReader(ctx, bucket, key, bytes.NewReader(data), ttl)
 }
 
-// PutReader streams r into bucket/key; nothing becomes visible unless
-// the whole stream commits, and a failed copy cleans up its partial
-// write.
+// PutReader streams r into bucket/key (creating the bucket implicitly,
+// as the RAI deployment pre-creates only a handful of well-known
+// buckets). A zero ttl adopts the store default. Nothing becomes
+// visible unless the whole stream commits, and a failed copy cleans up
+// its partial write.
 func (s *Store) PutReader(ctx context.Context, bucket, key string, r io.Reader, ttl time.Duration) (ObjectInfo, error) {
 	w, err := s.be.Create(ctx, bucket, key, blobstore.PutOptions{TTL: ttl})
 	if err != nil {
@@ -149,12 +127,11 @@ func (s *Store) PutReader(ctx context.Context, bucket, key string, r io.Reader, 
 	return w.Info(), nil
 }
 
-// Get returns the object content and refreshes its last-use time (the
-// paper: "deleted one month after the last use"). Thin adapter over
-// GetReader; the returned slice is freshly allocated, never aliasing
-// store internals.
-func (s *Store) Get(bucket, key string) ([]byte, ObjectInfo, error) {
-	rc, info, err := s.be.Open(storeCtx, bucket, key)
+// Get returns the object content and refreshes its last-use time. Thin
+// adapter over GetReader; the returned slice is freshly allocated,
+// never aliasing store internals.
+func (s *Store) Get(ctx context.Context, bucket, key string) ([]byte, ObjectInfo, error) {
+	rc, info, err := s.GetReader(ctx, bucket, key)
 	if err != nil {
 		return nil, ObjectInfo{}, err
 	}
@@ -167,64 +144,41 @@ func (s *Store) Get(bucket, key string) ([]byte, ObjectInfo, error) {
 }
 
 // GetReader returns a streaming reader over the object content,
-// refreshing last-use. The caller must Close it.
+// refreshing last-use (the paper: "deleted one month after the last
+// use"). The caller must Close it.
 func (s *Store) GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, ObjectInfo, error) {
 	return s.be.Open(ctx, bucket, key)
 }
 
 // Head returns metadata without touching last-use.
-func (s *Store) Head(bucket, key string) (ObjectInfo, error) {
-	return s.be.Stat(storeCtx, bucket, key)
+func (s *Store) Head(ctx context.Context, bucket, key string) (ObjectInfo, error) {
+	return s.be.Stat(ctx, bucket, key)
 }
 
 // Delete removes an object.
-func (s *Store) Delete(bucket, key string) error {
-	return s.be.Remove(storeCtx, bucket, key)
+func (s *Store) Delete(ctx context.Context, bucket, key string) error {
+	return s.be.Remove(ctx, bucket, key)
 }
 
 // List returns metadata for keys in bucket with the given prefix, sorted
 // by key. Expired objects are excluded (and lazily collected).
-func (s *Store) List(bucket, prefix string) ([]ObjectInfo, error) {
-	return s.be.List(storeCtx, bucket, prefix)
+func (s *Store) List(ctx context.Context, bucket, prefix string) ([]ObjectInfo, error) {
+	return s.be.List(ctx, bucket, prefix)
 }
 
 // Buckets lists bucket names, sorted.
-func (s *Store) Buckets() []string {
-	names, err := s.be.Buckets(storeCtx)
-	if err != nil {
-		return nil
-	}
-	return names
-}
+func (s *Store) Buckets() []string { return s.be.Buckets() }
 
 // Used reports total stored bytes (expired-but-uncollected objects
 // included until a sweep or access removes them).
-func (s *Store) Used() int64 {
-	n, err := s.be.Used(storeCtx)
-	if err != nil {
-		return 0
-	}
-	return n
-}
+func (s *Store) Used() int64 { return s.be.Used() }
 
 // Sweep removes all expired objects and reports how many were deleted.
 // Deployments run this periodically; simulations call it explicitly.
-func (s *Store) Sweep() int {
-	n, err := s.be.Sweep(storeCtx)
-	if err != nil {
-		return 0
-	}
-	return n
-}
+func (s *Store) Sweep(ctx context.Context) (int, error) { return s.be.Sweep(ctx) }
 
 // Touch refreshes an object's last-use time without reading it (used
 // when a URL is shared but the content is not yet fetched).
-func (s *Store) Touch(bucket, key string) error {
-	return s.be.Touch(storeCtx, bucket, key)
-}
-
-// Watch subscribes to create/update/delete events for bucket ("" = all)
-// when the backend supports watching.
-func (s *Store) Watch(ctx context.Context, bucket string) (*blobstore.Subscription, error) {
-	return s.be.Watch(ctx, bucket)
+func (s *Store) Touch(ctx context.Context, bucket, key string) error {
+	return s.be.Touch(ctx, bucket, key)
 }

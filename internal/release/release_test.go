@@ -1,6 +1,7 @@
 package release
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ func fixedNow() time.Time { return time.Date(2016, 11, 15, 8, 0, 0, 0, time.UTC)
 type storeUploader struct{ s *objstore.Store }
 
 func (u storeUploader) Put(bucket, key string, data []byte, ttl time.Duration) error {
-	_, err := u.s.Put(bucket, key, data, ttl)
+	_, err := u.s.Put(context.Background(), bucket, key, data, ttl)
 	return err
 }
 
@@ -43,7 +44,7 @@ func TestPushBuildsAllTargetsAndUploads(t *testing.T) {
 	if len(arts) != 10 {
 		t.Fatalf("artifacts = %d", len(arts))
 	}
-	infos, err := store.List("rai-client", "master/")
+	infos, err := store.List(context.Background(), "rai-client", "master/")
 	if err != nil || len(infos) != 10 {
 		t.Fatalf("uploaded = %d, %v", len(infos), err)
 	}
@@ -58,7 +59,7 @@ func TestPushBuildsAllTargetsAndUploads(t *testing.T) {
 		t.Error("windows artifact lacks .exe suffix")
 	}
 	// Version info is embedded and identifies the commit (§VII).
-	data, _, err := store.Get("rai-client", arts[0].Key)
+	data, _, err := store.Get(context.Background(), "rai-client", arts[0].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
